@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import diagnostics as diag
 from . import elliptic, parabolic
@@ -29,7 +27,7 @@ from .core import (
     SolveStatus,
     gcg_solve,
 )
-from .pde import estimate_c_constant, heat_c_constant, write_field
+from .pde import write_field
 
 _DEFAULTS = {
     "n": None,  # per-problem default filled in below
@@ -43,20 +41,20 @@ _DEFAULTS = {
     "diagnostics": True,
 }
 
-# name -> (kind, default n, description)
+
+def _elliptic(config: RunConfig):
+    return elliptic.make_example(config.problem, config.n)
+
+
+def _parabolic(config: RunConfig):
+    return parabolic.make_example(config.problem, config.n, config.nt)
+
+
+# name -> (builder, default n, description); a builder looks make_example up in
+# its module at call time
 _REGISTRY = {
-    "parabolic-ex": (
-        "parabolic",
-        32,
-        parabolic.PARABOLIC_EXAMPLES["parabolic-ex"],
-    ),
-    "parabolic-ex-1d": (
-        "parabolic",
-        32,
-        parabolic.PARABOLIC_EXAMPLES["parabolic-ex-1d"],
-    ),
-    "stadler-ex1": ("elliptic", 64, elliptic.ELLIPTIC_EXAMPLES["stadler-ex1"]),
-    "stadler-ex3": ("elliptic", 64, elliptic.ELLIPTIC_EXAMPLES["stadler-ex3"]),
+    **{name: (_elliptic, 64, text) for name, text in elliptic.ELLIPTIC_EXAMPLES.items()},
+    **{name: (_parabolic, 32, text) for name, text in parabolic.PARABOLIC_EXAMPLES.items()},
 }
 
 
@@ -154,12 +152,12 @@ def load_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown setting {key!r}")
-        kind = _CONFIG_KEYS[key]
+        value_type = _CONFIG_KEYS[key]
         try:
-            if kind is bool:
+            if value_type is bool:
                 settings[key] = _BOOL_WORDS[value.lower()]
             else:
-                settings[key] = kind(value)
+                settings[key] = value_type(value)
         except (KeyError, ValueError):
             raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return settings
@@ -209,13 +207,6 @@ def resolve_config(args) -> RunConfig:
     )
 
 
-def _build_problem(config: RunConfig):
-    kind = _REGISTRY[config.problem][0]
-    if kind == "elliptic":
-        return elliptic.make_example(config.problem, config.n), kind
-    return parabolic.make_example(config.problem, config.n, config.nt), kind
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -232,7 +223,7 @@ def _write_history_csv(path: Path, history) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _diagnostics_lines(config: RunConfig, prob, kind: str, result) -> list[str]:
+def _diagnostics_lines(config: RunConfig, prob, result) -> list[str]:
     history = result.history
     lines = [
         f"status = {result.status.value}",
@@ -242,13 +233,7 @@ def _diagnostics_lines(config: RunConfig, prob, kind: str, result) -> list[str]:
         f"eps_fp = {_fmt(result.eps_fp)}",
         f"mstar = {_fmt(result.mstar)}",
     ]
-    if kind == "elliptic":
-        c = estimate_c_constant(prob.operator, prob.grid.mass_weights())
-        quantum = prob.grid.h**2
-    else:
-        c = heat_c_constant(prob.grid, prob.conductivity)
-        quantum = prob.grid.tau
-    L_est = c * c
+    L_est = prob.lipschitz_estimate
     lines.append(f"L_est = {_fmt(L_est)}")
 
     residuals = diag.residuals_from_history(history, history[-1].j_value)
@@ -274,11 +259,8 @@ def _diagnostics_lines(config: RunConfig, prob, kind: str, result) -> list[str]:
     u = result.final_iterate
     _, p = prob.f_and_grad(u)
     eps_grid = [2.0**-e for e in range(20, 2, -1)]
-    if kind == "elliptic":
-        measures = [elliptic.growth_measure(prob, p, e) for e in eps_grid]
-    else:
-        measures = [parabolic.growth_measure_time(prob, p, e) for e in eps_grid]
-    eps_kept, meas_kept = diag.select_growth_bins(eps_grid, measures, quantum)
+    measures = [prob.growth_measure(p, e) for e in eps_grid]
+    eps_kept, meas_kept = diag.select_growth_bins(eps_grid, measures, prob.growth_quantum)
     try:
         kappa = diag.fit_kappa(eps_kept, meas_kept)
         lines.append(
@@ -288,45 +270,30 @@ def _diagnostics_lines(config: RunConfig, prob, kind: str, result) -> list[str]:
     except ValueError as exc:
         lines.append(f"kappa_hat = n/a ({exc})")
 
-    if kind == "elliptic":
-        report = elliptic.structure_report(prob, u, p)
-        lines.append(f"three_value_fraction = {_fmt(report.three_value_fraction)}")
-        lines.append(f"case_match_fraction = {_fmt(report.case_match_fraction)}")
-    else:
-        lines.append(
-            f"time_sparsity_fraction = {_fmt(parabolic.time_sparsity_fraction(prob, u))}"
-        )
-        norms = parabolic.time_profile(prob, u, p)
-        lines.append(f"control_norm_max = {_fmt(float(np.max(norms.control_norms)))}")
-        lines.append(f"adjoint_norm_max = {_fmt(float(np.max(norms.adjoint_norms)))}")
+    for name, value in prob.structure(u, p).items():
+        lines.append(f"{name} = {_fmt(value)}")
     return lines
 
 
 def run(config: RunConfig) -> int:
     try:
-        prob, kind = _build_problem(config)
+        solver_config = SolverConfig(
+            gap_tol=config.gap_tol,
+            max_iter=config.max_iter,
+            armijo=ArmijoParams(alpha=config.alpha, gamma=config.gamma),
+        )
+        prob = _REGISTRY[config.problem][0](config)
     except ValueError as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return 1
 
-    solver_kwargs = dict(gap_tol=config.gap_tol, max_iter=config.max_iter)
-    armijo = ArmijoParams(alpha=config.alpha, gamma=config.gamma)
     composite = prob.composite()
     u0 = prob.zero_control()
     try:
-        reference = None
         if config.track_errors:
-            ref_result = gcg_solve(
-                composite, u0, SolverConfig(armijo=armijo, **solver_kwargs)
-            )
-            reference = ref_result.final_iterate
-        result = gcg_solve(
-            composite,
-            u0,
-            SolverConfig(
-                armijo=armijo, record_errors_against=reference, **solver_kwargs
-            ),
-        )
+            reference = gcg_solve(composite, u0, solver_config).final_iterate
+            solver_config = replace(solver_config, record_errors_against=reference)
+        result = gcg_solve(composite, u0, solver_config)
     except (OracleError, LineSearchError, ValueError) as exc:
         print(f"gcg: numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -337,7 +304,7 @@ def run(config: RunConfig) -> int:
         _write_history_csv(out_dir / "history.csv", result.history)
         write_field(out_dir / "control.txt", result.final_iterate)
         if config.diagnostics:
-            lines = _diagnostics_lines(config, prob, kind, result)
+            lines = _diagnostics_lines(config, prob, result)
             (out_dir / "diagnostics.txt").write_text(
                 "\n".join(lines) + "\n", newline="\n"
             )

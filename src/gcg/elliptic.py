@@ -14,27 +14,26 @@ Minimizers inherit that three-valued structure wherever |p| != beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from gcg.core import CompositeProblem, ControlField
+from gcg.core import ControlField
 from gcg.pde import (
     DiscreteOperator,
-    Grid1D,
     Grid2D,
     SpatialGrid,
     assemble_laplacian,
     estimate_c_constant,
     l1_norm,
-    solve_poisson,
 )
+from gcg.tracking import TrackingProblem
 
 
 @dataclass(eq=False)
-class EllipticProblem:
+class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, operator, penalty weight, bounds, target."""
 
     grid: SpatialGrid
@@ -61,16 +60,10 @@ class EllipticProblem:
             float(np.max(np.abs(self.upper.values))),
         )
 
-    def zero_control(self) -> ControlField:
-        return self.grid.zero_field()
+    def solve_state(self, values: np.ndarray) -> np.ndarray:
+        return self.operator.solve(values)
 
-    def f_and_grad(self, u: ControlField) -> tuple[float, ControlField]:
-        """Tracking misfit and its gradient, the adjoint state p."""
-        y = self.operator.solve(u.values)
-        resid = y - self.target.values
-        f_val = 0.5 * float(np.dot(u.mass, resid**2))
-        p = self.operator.solve(resid)
-        return f_val, u.with_values(p)
+    solve_adjoint = solve_state  # the stencil is symmetric, so S* = S = K
 
     def g_eval(self, u: ControlField) -> float:
         """beta-weighted l1 norm, infinite outside the box (with fp slack)."""
@@ -99,46 +92,36 @@ class EllipticProblem:
     def dual_norm(self, u: ControlField) -> float:
         return l1_norm(u)
 
-    def line_objective(
-        self, u: ControlField, v: ControlField
-    ) -> Callable[[float], float]:
-        """Exact objective along the segment u + s (v - u).
+    def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
+        """beta-weighted l1 norm of u + s du; the box holds on [0, 1]."""
+        beta, mass, vals = self.reg_beta, u.mass, u.values
 
-        The smooth part is quadratic in s, so two solves (state at u and at
-        the difference) give f exactly for every s; the l1 part is summed
-        per probe.  Box feasibility holds on [0, 1] by convexity and is not
-        rechecked here.
-        """
-        y_u = self.operator.solve(u.values)
-        dy = self.operator.solve(v.values - u.values)
-        resid = y_u - self.target.values
-        mass = u.mass
-        f0 = 0.5 * float(np.dot(mass, resid**2))
-        f1 = float(np.dot(mass, resid * dy))
-        f2 = float(np.dot(mass, dy**2))
-        du = v.values - u.values
-        beta = self.reg_beta
+        def g_val(s: float) -> float:
+            return beta * float(np.dot(mass, np.abs(vals + s * du)))
 
-        def phi(s: float) -> float:
-            g_val = beta * float(np.dot(mass, np.abs(u.values + s * du)))
-            return f0 + s * f1 + 0.5 * s * s * f2 + g_val
-
-        return phi
-
-    def composite(self) -> CompositeProblem:
-        return CompositeProblem(
-            smooth_eval=self.f_and_grad,
-            nonsmooth_eval=self.g_eval,
-            lmo=self.lmo,
-            dual_norm=self.dual_norm,
-            line_objective=self.line_objective,
-        )
+        return g_val
 
     @cached_property
     def lipschitz_estimate(self) -> float:
         """Gradient Lipschitz bound c**2 from the l2-by-l1 operator scan."""
         c = estimate_c_constant(self.operator, self.grid.mass_weights())
         return c * c
+
+    @property
+    def growth_quantum(self) -> float:
+        """Mass of one node: the smallest nonzero growth measure."""
+        return float(self.grid.mass_weights()[0])
+
+    def growth_measure(self, p: ControlField, eps: float) -> float:
+        """Mass of the near-threshold set { | |p| - beta | <= eps }."""
+        if eps <= 0.0:
+            raise ValueError("eps must be positive")
+        band = np.abs(np.abs(p.values) - self.reg_beta) <= eps
+        return float(p.mass[band].sum())
+
+    def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
+        """Named structure fractions of a control / adjoint pair."""
+        return asdict(structure_report(self, u, p))
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
         vals = rng.uniform(self.lower.values, self.upper.values)
@@ -195,14 +178,6 @@ def structure_report(
     )
     case = float(mass[ok].sum()) / total
     return StructureReport(three_value_fraction=three, case_match_fraction=case)
-
-
-def growth_measure(prob: EllipticProblem, p: ControlField, eps: float) -> float:
-    """Mass of the near-threshold set { | |p| - beta | <= eps }."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    band = np.abs(np.abs(p.values) - prob.reg_beta) <= eps
-    return float(p.mass[band].sum())
 
 
 def _example_fields(name: str, grid: SpatialGrid):

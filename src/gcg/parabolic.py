@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from gcg.core import CompositeProblem, ControlField
+from gcg.core import ControlField
 from gcg.pde import (
     Grid1D,
     Grid2D,
@@ -31,10 +31,11 @@ from gcg.pde import (
     heat_c_constant,
     slice_l2_norms,
 )
+from gcg.tracking import TrackingProblem
 
 
 @dataclass(eq=False)
-class ParabolicProblem:
+class ParabolicProblem(TrackingProblem):
     """One heat tracking instance on a space-time grid."""
 
     grid: SpaceTimeGrid
@@ -55,16 +56,11 @@ class ParabolicProblem:
     def heat(self) -> HeatOperator:
         return HeatOperator(self.grid, self.conductivity)
 
-    def zero_control(self) -> ControlField:
-        return self.grid.zero_field()
+    def solve_state(self, values: np.ndarray) -> np.ndarray:
+        return self.heat.forward(self.grid.as_slices(values)).ravel()
 
-    def f_and_grad(self, u: ControlField) -> tuple[float, ControlField]:
-        """Space-time misfit and its gradient, the adjoint state p."""
-        y = self.heat.forward(self.grid.as_slices(u.values))
-        resid = y.ravel() - self.target.values
-        f_val = 0.5 * float(np.dot(u.mass, resid**2))
-        p = self.heat.adjoint(self.grid.as_slices(resid))
-        return f_val, u.with_values(p.ravel())
+    def solve_adjoint(self, values: np.ndarray) -> np.ndarray:
+        return self.heat.adjoint(self.grid.as_slices(values)).ravel()
 
     def g_eval(self, u: ControlField) -> float:
         """Weighted time-l1 of slice norms; infinite outside the slice ball."""
@@ -90,22 +86,10 @@ class ParabolicProblem:
     def dual_norm(self, u: ControlField) -> float:
         return group_l1_time(u)
 
-    def line_objective(
-        self, u: ControlField, v: ControlField
-    ) -> Callable[[float], float]:
-        """Exact objective along u + s (v - u): quadratic misfit plus
-        slicewise sqrt-of-quadratic group terms.  Ball feasibility holds on
-        [0, 1] by convexity and is not rechecked."""
+    def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
+        """Group term of u + s du: per slice, the square root of a quadratic
+        in s.  The ball holds on [0, 1] by convexity."""
         grid = self.grid
-        du = v.values - u.values
-        y_u = self.heat.forward(grid.as_slices(u.values)).ravel()
-        dy = self.heat.forward(grid.as_slices(du)).ravel()
-        resid = y_u - self.target.values
-        mass = u.mass
-        f0 = 0.5 * float(np.dot(mass, resid**2))
-        f1 = float(np.dot(mass, resid * dy))
-        f2 = float(np.dot(mass, dy**2))
-
         w = grid.space.mass_weights()
         u_sl = grid.as_slices(u.values)
         d_sl = grid.as_slices(du)
@@ -114,27 +98,38 @@ class ParabolicProblem:
         a2 = (d_sl**2) @ w
         tau, alpha = grid.tau, self.reg_alpha
 
-        def phi(s: float) -> float:
+        def g_val(s: float) -> float:
             sq = np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0)
-            g_val = alpha * tau * float(np.sqrt(sq).sum())
-            return f0 + s * f1 + 0.5 * s * s * f2 + g_val
+            return alpha * tau * float(np.sqrt(sq).sum())
 
-        return phi
-
-    def composite(self) -> CompositeProblem:
-        return CompositeProblem(
-            smooth_eval=self.f_and_grad,
-            nonsmooth_eval=self.g_eval,
-            lmo=self.lmo,
-            dual_norm=self.dual_norm,
-            line_objective=self.line_objective,
-        )
+        return g_val
 
     @cached_property
     def lipschitz_estimate(self) -> float:
         """Gradient Lipschitz bound c**2 from the slice-impulse response."""
         c = heat_c_constant(self.grid, self.conductivity)
         return c * c
+
+    @property
+    def growth_quantum(self) -> float:
+        """Length of one time step: the smallest nonzero growth measure."""
+        return self.grid.tau
+
+    def growth_measure(self, p: ControlField, eps: float) -> float:
+        """Time measure of the near-threshold set { | |p(t)| - reg_alpha | <= eps }."""
+        if eps <= 0.0:
+            raise ValueError("eps must be positive")
+        band = np.abs(slice_l2_norms(p) - self.reg_alpha) <= eps
+        return float(self.grid.tau * np.count_nonzero(band))
+
+    def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
+        """Slice sparsity and the largest slice norms of a control / adjoint pair."""
+        profile = time_profile(self, u, p)
+        return {
+            "time_sparsity_fraction": time_sparsity_fraction(self, u),
+            "control_norm_max": float(np.max(profile.control_norms)),
+            "adjoint_norm_max": float(np.max(profile.adjoint_norms)),
+        }
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
         """Random control with per-slice norm uniform in [0, ball radius]."""
@@ -174,15 +169,6 @@ def time_sparsity_fraction(
     atol = tol * max(1.0, m)
     ok = np.minimum(np.abs(norms), np.abs(norms - m)) <= atol
     return float(np.count_nonzero(ok)) / norms.size
-
-
-def growth_measure_time(prob: ParabolicProblem, p: ControlField, eps: float) -> float:
-    """Time measure of the near-threshold set { | |p(t)| - reg_alpha | <= eps }."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    norms = slice_l2_norms(p)
-    band = np.abs(norms - prob.reg_alpha) <= eps
-    return float(prob.grid.tau * np.count_nonzero(band))
 
 
 def power_convexity_check(

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from gcg.core import ControlField
 
@@ -141,10 +140,8 @@ class SpaceTimeGrid:
 class DiscreteOperator:
     """Sparse SPD operator with a cached direct factorization.
 
-    Solves go through an LU factorization computed once per operator; if the
-    factorization cannot be built, conjugate gradients with relative
-    tolerance 1e-12 takes over.  Every solve is checked a posteriori against
-    the same relative residual bound.
+    Solves go through an LU factorization computed at the first solve and
+    are checked a posteriori against a relative residual bound.
     """
 
     def __init__(self, matrix):
@@ -153,31 +150,10 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
         self._factor = None
-        self._use_cg = False
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def _solve_raw(self, rhs: np.ndarray) -> np.ndarray:
-        if not self._use_cg and self._factor is None:
-            try:
-                self._factor = splu(self.matrix)
-            except RuntimeError:
-                self._use_cg = True
-        if self._use_cg:
-            if rhs.ndim == 1:
-                cols = [rhs]
-            else:
-                cols = [rhs[:, j] for j in range(rhs.shape[1])]
-            outs = []
-            for col in cols:
-                out, info = cg(self.matrix, col, rtol=1e-12, atol=0.0)
-                if info != 0:
-                    raise RuntimeError("iterative fallback solve did not converge")
-                outs.append(out)
-            return outs[0] if rhs.ndim == 1 else np.stack(outs, axis=1)
-        return self._factor.solve(rhs)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve op @ y = rhs to relative residual <= 1e-12."""
@@ -187,7 +163,9 @@ class DiscreteOperator:
         rhs_norm = np.linalg.norm(rhs, axis=0)
         if np.all(rhs_norm == 0.0):
             return np.zeros_like(rhs)
-        y = self._solve_raw(rhs)
+        if self._factor is None:
+            self._factor = splu(self.matrix)
+        y = self._factor.solve(rhs)
         resid = np.linalg.norm(self.matrix @ y - rhs, axis=0)
         if np.any(resid > 1e-12 * np.maximum(rhs_norm, 1e-300)):
             raise RuntimeError("linear solve failed the residual check")
@@ -272,23 +250,6 @@ class HeatOperator:
         return p
 
 
-@lru_cache(maxsize=8)
-def _heat_operator(grid: SpaceTimeGrid, conductivity: float) -> HeatOperator:
-    return HeatOperator(grid, conductivity)
-
-
-def heat_forward(u: ControlField, grid: SpaceTimeGrid, conductivity: float) -> ControlField:
-    """State y of the implicit Euler heat stepper driven by u, zero start."""
-    op = _heat_operator(grid, conductivity)
-    return u.with_values(op.forward(grid.as_slices(u.values)).ravel())
-
-
-def heat_adjoint(w: ControlField, grid: SpaceTimeGrid, conductivity: float) -> ControlField:
-    """Adjoint state: transpose of heat_forward applied to w."""
-    op = _heat_operator(grid, conductivity)
-    return w.with_values(op.adjoint(grid.as_slices(w.values)).ravel())
-
-
 def l1_norm(u: ControlField) -> float:
     """Mass-weighted l1 norm sum_i mass_i |u_i|."""
     return float(np.dot(u.mass, np.abs(u.values)))
@@ -359,21 +320,20 @@ def write_field(path, u: ControlField) -> None:
     significant digits, enough to round-trip float64 exactly.
     """
     meta = u.meta
-    lines = []
     if isinstance(meta, SpaceTimeGrid):
         space = meta.space
         nx = space.n
         ny = space.n if isinstance(space, Grid2D) else 1
-        lines.append(f"{nx} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}")
+        header = f"{nx} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
     elif isinstance(meta, Grid2D):
-        lines.append(f"{meta.n} {meta.n} {meta.h:.17g}")
+        header = f"{meta.n} {meta.n} {meta.h:.17g}"
     elif isinstance(meta, Grid1D):
-        lines.append(f"{meta.n} 1 {meta.h:.17g}")
+        header = f"{meta.n} 1 {meta.h:.17g}"
     else:
         raise ValueError("field has no grid descriptor to write a header from")
-    lines.extend(f"{x:.17g}" for x in u.values)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(f"{x:.17g}\n" for x in u.values)
 
 
 def read_field(path) -> ControlField:

@@ -1,0 +1,94 @@
+"""The quadratic tracking term shared by the bundled control instances.
+
+Both instances minimize  f(u) + g(u)  with the same smooth part
+
+    f(u) = 0.5 * |S u - target|**2      (mass-weighted),
+
+for a linear control-to-state map S.  Its gradient is the adjoint state
+p = S* (S u - target), and along a segment u + s (v - u) it is the exact
+quadratic f0 + s f1 + s**2 f2 / 2, so one more solve for S (v - u) prices
+every backtracking probe without further PDE work.
+
+TrackingProblem implements f, its gradient, the segment objective and the
+solver bundle once.  An instance class mixes it in and supplies:
+
+    target                      the tracked state, a ControlField
+    grid                        with zero_field()
+    solve_state(values)         S applied to nodal values
+    solve_adjoint(values)       S* applied to nodal values
+    g_eval, lmo, dual_norm      the nonsmooth term, its oracle and dual norm
+    g_along(u, du)              callable s -> g(u + s du) for s in [0, 1]
+
+and, for the run diagnostics, lipschitz_estimate, growth_quantum,
+growth_measure(p, eps) and structure(u, p).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+import numpy as np
+
+from gcg.core import CompositeProblem, ControlField
+
+
+class TrackingProblem:
+    """f(u) = 0.5 |S u - target|**2 with a one-slot memo of the state S u.
+
+    The memo is keyed on the identity of the ControlField, so a line search
+    or a diagnostic that follows a gradient evaluation at the same iterate
+    reuses its state, with the same floats.  It assumes that no field's
+    values are changed in place; the solver makes every iterate a new
+    ControlField.
+    """
+
+    _memo: Optional[tuple[ControlField, np.ndarray]] = None
+
+    def _state_at(self, u: ControlField) -> np.ndarray:
+        if self._memo is not None and self._memo[0] is u:
+            return self._memo[1]
+        self._memo = None  # release the old state before solving for the new
+        y = self.solve_state(u.values)
+        self._memo = (u, y)
+        return y
+
+    def zero_control(self) -> ControlField:
+        return self.grid.zero_field()
+
+    def f_and_grad(self, u: ControlField) -> tuple[float, ControlField]:
+        """Tracking misfit and its gradient, the adjoint state p."""
+        resid = self._state_at(u) - self.target.values
+        f_val = 0.5 * float(np.dot(u.mass, resid**2))
+        return f_val, u.with_values(self.solve_adjoint(resid))
+
+    def line_objective(
+        self, u: ControlField, v: ControlField
+    ) -> Callable[[float], float]:
+        """Exact objective along the segment u + s (v - u).
+
+        The misfit is quadratic in s; its coefficients take the state at u
+        and one solve for the difference.  Feasibility holds on [0, 1] by
+        convexity and is not rechecked.
+        """
+        du = v.values - u.values
+        resid = self._state_at(u) - self.target.values
+        dy = self.solve_state(du)
+        mass = u.mass
+        f0 = 0.5 * float(np.dot(mass, resid**2))
+        f1 = float(np.dot(mass, resid * dy))
+        f2 = float(np.dot(mass, dy**2))
+        g_along = self.g_along(u, du)
+
+        def phi(s: float) -> float:
+            return f0 + s * f1 + 0.5 * s * s * f2 + g_along(s)
+
+        return phi
+
+    def composite(self) -> CompositeProblem:
+        return CompositeProblem(
+            smooth_eval=self.f_and_grad,
+            nonsmooth_eval=self.g_eval,
+            lmo=self.lmo,
+            dual_norm=self.dual_norm,
+            line_objective=self.line_objective,
+        )

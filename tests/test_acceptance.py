@@ -17,12 +17,9 @@ from gcg.core import ArmijoParams, SolverConfig, SolveStatus, gcg_solve, pairing
 from gcg.pde import (
     Grid1D,
     Grid2D,
+    HeatOperator,
     SpaceTimeGrid,
     assemble_laplacian,
-    estimate_c_constant,
-    heat_adjoint,
-    heat_c_constant,
-    heat_forward,
     l2_norm,
     solve_poisson,
 )
@@ -142,12 +139,13 @@ def test_criterion_02_adjoint_exactness():
         worst = max(worst, gap / (l2_norm(u) * l2_norm(w)))
 
     st = SpaceTimeGrid(Grid2D(8), nt=10, horizon=1.0)
+    heat = HeatOperator(st, 0.7)
     for trial in range(20):
         u = st.field(rng.standard_normal(st.n_nodes))
         w = st.field(rng.standard_normal(st.n_nodes))
-        gap = abs(
-            pairing(heat_forward(u, st, 0.7), w) - pairing(u, heat_adjoint(w, st, 0.7))
-        )
+        y = st.field(heat.forward(st.as_slices(u.values)))
+        p = st.field(heat.adjoint(st.as_slices(w.values)))
+        gap = abs(pairing(y, w) - pairing(u, p))
         worst = max(worst, gap / (l2_norm(u) * l2_norm(w)))
 
     ok = worst <= 1e-12
@@ -252,20 +250,8 @@ def test_criterion_06_sublinear_envelope(elliptic_run, parabolic_run):
     ok = True
     budget = elliptic_run.elapsed + parabolic_run.elapsed
 
-    for run, L_est in (
-        (
-            elliptic_run,
-            estimate_c_constant(
-                elliptic_run.prob.operator, elliptic_run.prob.grid.mass_weights()
-            )
-            ** 2,
-        ),
-        (
-            parabolic_run,
-            heat_c_constant(parabolic_run.prob.grid, parabolic_run.prob.conductivity)
-            ** 2,
-        ),
-    ):
+    for run in (elliptic_run, parabolic_run):
+        L_est = run.prob.lipschitz_estimate
         hist = run.result.history
         residuals = diag.residuals_from_history(hist, hist[-1].j_value)
         q_env = diag.envelope_q(
@@ -312,7 +298,7 @@ def test_criterion_08a_elliptic_structure(elliptic_run):
     u = elliptic_run.result.final_iterate
     gap = elliptic_run.result.history[-1].gap
     delta = math.sqrt(prob.lipschitz_estimate) * math.sqrt(2.0 * gap)
-    certified = 1.0 - elliptic.growth_measure(prob, p, delta) / float(u.mass.sum())
+    certified = 1.0 - prob.growth_measure(p, delta) / float(u.mass.sum())
     iterate = elliptic.structure_report(prob, u, p).three_value_fraction
     ok = certified >= 0.99
     line = report(
@@ -343,7 +329,7 @@ def test_criterion_09_growth_exponent(elliptic_run, parabolic_run):
     ok = True
 
     measures = [
-        elliptic.growth_measure(elliptic_run.prob, elliptic_run.adjoint, e)
+        elliptic_run.prob.growth_measure(elliptic_run.adjoint, e)
         for e in eps_grid
     ]
     eps_kept, meas_kept = diag.select_growth_bins(
@@ -354,7 +340,7 @@ def test_criterion_09_growth_exponent(elliptic_run, parabolic_run):
     details.append(f"elliptic kappa={kappa:.4f} bins={eps_kept.size}")
 
     measures = [
-        parabolic.growth_measure_time(parabolic_run.prob, parabolic_run.adjoint, e)
+        parabolic_run.prob.growth_measure(parabolic_run.adjoint, e)
         for e in eps_grid
     ]
     eps_kept, meas_kept = diag.select_growth_bins(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gcg
+from gcg import elliptic, parabolic
 from gcg.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 
 FAST = [
@@ -38,8 +39,27 @@ def test_list_names_every_problem(capsys):
     assert "default n=64" in out and "default n=32" in out
 
 
-def test_run_writes_all_outputs(tmp_path, capsys):
-    code = run_cli(FAST + ["--out-dir", tmp_path])
+ELLIPTIC_FAST = ["run", "--problem", "stadler-ex1", "--n", "8", "--max-iter", "40"]
+
+
+@pytest.mark.parametrize(
+    "argv, structure_keys, build",
+    [
+        (
+            FAST,
+            ("time_sparsity_fraction = ", "control_norm_max = ", "adjoint_norm_max = "),
+            lambda: parabolic.make_example("parabolic-ex-1d", 8, 12),
+        ),
+        (
+            ELLIPTIC_FAST,
+            ("three_value_fraction = ", "case_match_fraction = "),
+            lambda: elliptic.make_example("stadler-ex1", 8),
+        ),
+    ],
+    ids=["parabolic-ex-1d", "stadler-ex1"],
+)
+def test_run_writes_all_outputs(tmp_path, capsys, argv, structure_keys, build):
+    code = run_cli(argv + ["--out-dir", tmp_path])
     assert code == 0
     out = capsys.readouterr().out
     assert "iterations" in out and "final gap" in out
@@ -55,9 +75,11 @@ def test_run_writes_all_outputs(tmp_path, capsys):
         "gap_final = ",
         "L_est = ",
         "q_env = ",
-        "time_sparsity_fraction = ",
+        *structure_keys,
     ):
         assert key in report
+    values = dict(line.split(" = ", 1) for line in report.splitlines())
+    assert float(values["L_est"]) == build().lipschitz_estimate
 
 
 def test_history_csv_parses_back(tmp_path, capsys):
@@ -124,6 +146,20 @@ def test_bad_flags_exit_one():
     with pytest.raises(SystemExit) as exc:
         run_cli([])  # a subcommand is required
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "key, value", [("alpha", "0.7"), ("gamma", "1.5"), ("max_iter", "0"), ("tol", "-1")]
+)
+def test_bad_solver_settings_exit_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    base = ["run", "--problem", "stadler-ex1", "--n", "8", "--out-dir", tmp_path]
+    for source in (["--" + key.replace("_", "-"), value], ["--config", cfg]):
+        assert run_cli(base + source) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gcg: error: ") and "Traceback" not in err
+    assert not (tmp_path / "history.csv").exists()
 
 
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):

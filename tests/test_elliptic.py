@@ -16,7 +16,6 @@ from gcg.core import (
 from gcg.elliptic import (
     ELLIPTIC_EXAMPLES,
     EllipticProblem,
-    growth_measure,
     make_example,
     structure_report,
 )
@@ -171,10 +170,10 @@ def test_structure_report_transition_band():
 def test_growth_measure_band_mass():
     prob = small_problem(beta=0.5)
     p = prob.grid.field([0.7, 0.1, -0.55])
-    assert growth_measure(prob, p, 0.1) == pytest.approx(0.25)
-    assert growth_measure(prob, p, 0.25) == pytest.approx(0.5)
+    assert prob.growth_measure(p, 0.1) == pytest.approx(0.25)
+    assert prob.growth_measure(p, 0.25) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        growth_measure(prob, p, 0.0)
+        prob.growth_measure(p, 0.0)
 
 
 def test_example_parameters():

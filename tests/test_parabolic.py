@@ -9,7 +9,6 @@ from gcg.core import SolverConfig, gcg_solve, pairing
 from gcg.parabolic import (
     PARABOLIC_EXAMPLES,
     ParabolicProblem,
-    growth_measure_time,
     make_example,
     power_convexity_check,
     time_profile,
@@ -203,10 +202,10 @@ def test_growth_measure_time_band():
     scale = 1.0 / math.sqrt(h)
     p = prob.grid.field(np.array([0.7, 0.1, 0.55, 0.45]) * scale)
     tau = prob.grid.tau
-    assert growth_measure_time(prob, p, 0.1) == pytest.approx(2 * tau)
-    assert growth_measure_time(prob, p, 0.25) == pytest.approx(3 * tau)
+    assert prob.growth_measure(p, 0.1) == pytest.approx(2 * tau)
+    assert prob.growth_measure(p, 0.25) == pytest.approx(3 * tau)
     with pytest.raises(ValueError):
-        growth_measure_time(prob, p, -1.0)
+        prob.growth_measure(p, -1.0)
 
 
 def test_example_parameters():

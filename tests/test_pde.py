@@ -10,13 +10,12 @@ from gcg.pde import (
     DiscreteOperator,
     Grid1D,
     Grid2D,
+    HeatOperator,
     SpaceTimeGrid,
     assemble_laplacian,
     estimate_c_constant,
     group_l1_time,
-    heat_adjoint,
     heat_c_constant,
-    heat_forward,
     l1_norm,
     l2_norm,
     read_field,
@@ -147,7 +146,7 @@ def test_heat_single_node_single_step():
     # the scalar 16, so (1 + tau * a * 16) y = tau * u gives y = u / 17
     grid = SpaceTimeGrid(Grid2D(1), nt=1, horizon=1.0)
     u = grid.field([1.0])
-    y = heat_forward(u, grid, conductivity=1.0)
+    y = grid.field(HeatOperator(grid, 1.0).forward(grid.as_slices(u.values)))
     assert y.values[0] == pytest.approx(1.0 / 17.0, rel=1e-14)
 
 
@@ -157,7 +156,7 @@ def test_heat_matches_dense_recursion():
     a = 0.7
     rng = np.random.default_rng(5)
     u = grid.field(rng.standard_normal(grid.n_nodes))
-    y = heat_forward(u, grid, a)
+    y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
 
     amat = assemble_laplacian(grid.space).matrix.toarray()
     step = np.eye(4) + grid.tau * a * amat
@@ -175,11 +174,12 @@ def test_heat_adjoint_is_transpose():
     rng = np.random.default_rng(23)
     for space, nt in ((Grid1D(5), 7), (Grid2D(3), 4)):
         grid = SpaceTimeGrid(space, nt=nt, horizon=1.3)
+        heat = HeatOperator(grid, 0.8)
         for trial in range(10):
             u = grid.field(rng.standard_normal(grid.n_nodes))
             w = grid.field(rng.standard_normal(grid.n_nodes))
-            lhs = pairing(heat_forward(u, grid, 0.8), w)
-            rhs = pairing(u, heat_adjoint(w, grid, 0.8))
+            lhs = pairing(grid.field(heat.forward(grid.as_slices(u.values))), w)
+            rhs = pairing(u, grid.field(heat.adjoint(grid.as_slices(w.values))))
             scale = l2_norm(u) * l2_norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -191,7 +191,7 @@ def test_heat_reaches_steady_state():
     a = 1.0
     source = np.ones(3)
     u = grid.field(np.tile(source, grid.nt))
-    y = heat_forward(u, grid, a)
+    y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
     y_inf = assemble_laplacian(grid.space).solve(source) / a
     final = grid.as_slices(y.values)[-1]
     np.testing.assert_allclose(final, y_inf, rtol=1e-12)
@@ -205,7 +205,7 @@ def test_heat_stability_bound():
     rng = np.random.default_rng(41)
     for trial in range(20):
         u = grid.field(rng.standard_normal(grid.n_nodes))
-        y = heat_forward(u, grid, a)
+        y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
         assert l2_norm(y) <= c * group_l1_time(u) * (1.0 + 1e-12)
 
 
@@ -220,14 +220,15 @@ def test_heat_c_constant_attained_by_slow_mode():
     values = np.zeros((grid.nt, space.n_nodes))
     values[0] = mode
     u = grid.field(values.ravel())
-    ratio = l2_norm(heat_forward(u, grid, a)) / group_l1_time(u)
+    y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
+    ratio = l2_norm(y) / group_l1_time(u)
     assert ratio == pytest.approx(heat_c_constant(grid, a), rel=1e-12)
 
 
 def test_heat_rejects_bad_conductivity():
     grid = SpaceTimeGrid(Grid1D(2), nt=2, horizon=1.0)
     with pytest.raises(ValueError):
-        heat_forward(grid.zero_field(), grid, 0.0)
+        HeatOperator(grid, 0.0)
 
 
 def test_norm_hand_values():
