@@ -15,6 +15,13 @@ which is nonnegative and dominates the objective residual j(u) - min j.
 Steps are chosen by backtracking: the smallest n with
 
     alpha * gamma**n * gap  <=  j(u) - j(u + gamma**n (v - u)).
+
+For convex f and g the margin c(s) = j(u) - j(u + s (v - u)) - alpha s gap
+is concave in s, with c(0) = 0 and slope at least (1 - alpha) gap > 0 at
+0+.  So the steps that pass form an interval (0, s*], and whether the test
+passes at gamma**n is monotone in n.  armijo_step therefore finds the
+minimal n by galloping over the exponent and bisecting the bracket, in
+O(log n) probes rather than n + 1.
 """
 
 from __future__ import annotations
@@ -138,8 +145,8 @@ class SolverConfig:
     callback: Optional[Callable[["IterateRecord", ControlField, ControlField], None]] = None
 
     def __post_init__(self):
-        if self.gap_tol < 0.0:
-            raise ValueError("gap_tol must be nonnegative")
+        if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0.0):
+            raise ValueError("gap_tol must be finite and nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -239,30 +246,63 @@ def armijo_step(
 ) -> tuple[float, int, float]:
     """Smallest n with alpha * gamma**n * gap <= j(u) - j(u + gamma**n (v-u)).
 
-    Returns (step, n, j_new) with step = gamma**n.  The search ascends from
-    n = 0, so the returned n is minimal; whenever step < 1 the condition
-    failed at step / gamma.  Requires gap > 0.
+    Returns (step, n, j_new) with step = gamma**n and j_new the objective
+    there.  Requires gap > 0.
+
+    An upward scan from n = 0 would stop at the first n where the test
+    passes, where the decrease target alpha * gamma**n * gap underflows to
+    0.0, or where n exceeds max_backtracks.  For convex f and g each of the
+    three is monotone in n (see the module docstring), so the search
+    gallops over n = 0, 2, 6, 14, ... until one of them holds and then
+    bisects the bracket down to the first n where one holds: the scan's n,
+    or LineSearchError where the scan raises.  A full step costs one probe.
+
+    Rounding breaks the monotonicity once the decrease j(u) - j(u + s (v-u))
+    falls below the rounding of j(u): there the test fails again.  A gallop
+    probe that lands there can pass over a band of passing exponents that
+    the scan would find.  Either way the test holds at the returned step,
+    and whenever n > 0 it fails at step / gamma.
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
     phi = _segment_objective(problem, u, v)
     j0 = phi(0.0) if j_u is None else j_u
     alpha, gamma = params.alpha, params.gamma
-    for n in range(params.max_backtracks + 1):
+    limit = params.max_backtracks + 1
+
+    def stops_at(n: int) -> tuple[bool, Optional[float]]:
+        """Whether the scan stops at n, and j there when the test passes."""
+        if n >= limit:
+            return True, None
         s = gamma**n
         target = alpha * s * gap
         if target == 0.0:
-            # the decrease target underflowed, so the test below would accept
-            # any non-increase, including a step too small to move the
-            # iterate at all; treat that like an exhausted search
-            break
+            # the decrease target underflowed, so the test would accept any
+            # non-increase, including a step too small to move the iterate
+            # at all; treat that like an exhausted search
+            return True, None
         j_s = phi(s)
-        if target <= j0 - j_s:
-            return s, n, j_s
-    raise LineSearchError(
-        f"no sufficient decrease within {params.max_backtracks} backtracks; "
-        "the gap is at rounding level or an oracle is inconsistent"
-    )
+        passed = target <= j0 - j_s
+        return passed, j_s if passed else None
+
+    lo, hi = -1, 0  # the scan goes on at lo and stops at hi
+    stop, j_new = stops_at(hi)
+    while not stop:
+        lo, hi = hi, min(2 * hi + 2, limit)
+        stop, j_new = stops_at(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        stop, j_mid = stops_at(mid)
+        if stop:
+            hi, j_new = mid, j_mid
+        else:
+            lo = mid
+    if j_new is None:
+        raise LineSearchError(
+            f"no sufficient decrease within {params.max_backtracks} backtracks; "
+            "the gap is at rounding level or an oracle is inconsistent"
+        )
+    return gamma**hi, hi, j_new
 
 
 def gcg_solve(

@@ -149,7 +149,15 @@ def test_bad_flags_exit_one():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("alpha", "0.7"), ("gamma", "1.5"), ("max_iter", "0"), ("tol", "-1")]
+    "key, value",
+    [
+        ("alpha", "0.7"),
+        ("gamma", "1.5"),
+        ("max_iter", "0"),
+        ("tol", "-1"),
+        ("tol", "nan"),
+        ("tol", "inf"),
+    ],
 )
 def test_bad_solver_settings_exit_one(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"

@@ -1,9 +1,11 @@
 """Solver-level tests: gap arithmetic, backtracking, and loop invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gcg.core import (
     ArmijoParams,
@@ -131,12 +133,77 @@ def test_armijo_one_backtrack():
     assert (step, n) == (0.5, 1)
 
 
+def segment_phi(problem, u, v):
+    """j(u + s (v - u)) by direct evaluation of f + g."""
+
+    def phi(s):
+        w = u.blend(v, s)
+        f_val, _ = problem.smooth_eval(w)
+        return f_val + problem.nonsmooth_eval(w)
+
+    return phi
+
+
+def counting(problem, probes):
+    """The same problem, with every segment evaluation appended to probes."""
+
+    def line_objective(u, v):
+        phi = segment_phi(problem, u, v)
+
+        def counted(s):
+            probes.append(s)
+            return phi(s)
+
+        return counted
+
+    return dataclasses.replace(problem, line_objective=line_objective)
+
+
+def scan_tests(u, v, gap, problem, params, j_u=None):
+    """The test at n = 0, 1, 2, ... as (step, j, passed), until the scan stops
+    for a reason other than a pass: the target underflows or the budget ends."""
+    phi = segment_phi(problem, u, v)
+    j0 = phi(0.0) if j_u is None else j_u
+    for n in range(params.max_backtracks + 1):
+        s = params.gamma**n
+        target = params.alpha * s * gap
+        if target == 0.0:
+            return
+        j_s = phi(s)
+        yield s, j_s, target <= j0 - j_s
+
+
+def scan_armijo_step(u, v, gap, problem, params, j_u=None):
+    """Reference: the linear scan over n = 0, 1, 2, ... that armijo_step replaced."""
+    for n, (s, j_s, passed) in enumerate(scan_tests(u, v, gap, problem, params, j_u)):
+        if passed:
+            return s, n, j_s
+    raise LineSearchError("reference scan exhausted")
+
+
+def search_outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except LineSearchError:
+        return LineSearchError
+
+
+def assert_matches_scan(u, v, gap, problem, params, j_u=None):
+    got = search_outcome(armijo_step, u, v, gap, problem, params, j_u=j_u)
+    want = search_outcome(scan_armijo_step, u, v, gap, problem, params, j_u=j_u)
+    assert got == want
+    return got
+
+
 def test_armijo_gamma_099_takes_69_trials():
-    prob = scalar_problem(0.0)
+    probes = []
+    prob = counting(scalar_problem(0.0), probes)
     u, v = field(1.0), field(-1.0)
     step, n, _ = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.99))
     assert n == 69 == math.ceil(math.log(0.5) / math.log(0.99))
     assert step == 0.99**69
+    # a scan from n = 0 would make 71 probes, counting the one at s = 0
+    assert len(probes) <= 2 * math.ceil(math.log2(n + 1)) + 1
 
 
 def test_armijo_requires_positive_gap():
@@ -158,10 +225,101 @@ def test_armijo_step_underflow_raises():
     # out. A zero trial step satisfies the sufficient-decrease test
     # trivially, so the search must refuse it rather than freeze the
     # iterate and report success.
-    prob = scalar_problem(0.0)
+    probes = []
+    prob = counting(scalar_problem(0.0), probes)
     u = field(0.5)
     with pytest.raises(LineSearchError):
         armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=5000))
+    # the target 0.5 * 0.5**n first underflows at n = 1074; a scan probes
+    # every n below that
+    assert 0.5 * 0.5**1074 == 0.0 < 0.5 * 0.5**1073
+    assert len(probes) <= 2 * math.ceil(math.log2(1075)) + 1
+
+
+def test_armijo_matches_scan_on_edge_cases():
+    full = scalar_problem(1.0)
+    assert assert_matches_scan(
+        field(-1.0), field(1.0), 4.0, full, ArmijoParams(0.5, 0.5)
+    ) == (1.0, 0, 0.0)
+    # f = u^2/2 from u = 1 towards v = -7 with gap 8: the test reads
+    # 4s <= 8s - 32s^2, which holds with equality at s = 1/8 = 0.5**3
+    wide = scalar_problem(0.0, lower=-8.0)
+    u, v = field(1.0), field(-7.0)
+    tie = assert_matches_scan(u, v, 8.0, wide, ArmijoParams(0.5, 0.5))
+    assert tie == (0.125, 3, 0.0)
+    assert 0.5 * 0.125 * 8.0 == 0.5 - tie[2]  # j(u) = 0.5
+    # the minimal n exactly at the budget returns; one above it raises
+    for budget, want in ((3, tie), (2, LineSearchError)):
+        params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
+        assert assert_matches_scan(u, v, 8.0, wide, params) == want
+    prob = scalar_problem(0.0)
+    u, v = field(1.0), field(-1.0)
+    at_budget = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, 0.99, 69))
+    assert at_budget[1] == 69
+    over = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, 0.99, 68))
+    assert over is LineSearchError
+    # u == v: no decrease at any step, so the target underflows and both raise
+    same = field(0.5)
+    for j_u in (None, 0.125):
+        got = assert_matches_scan(same, same, 1.0, prob, ArmijoParams(0.5, 0.5), j_u=j_u)
+        assert got is LineSearchError
+
+
+@st.composite
+def convex_segment(draw):
+    """A quadratic plus a mass-weighted |.| term, and a segment of positive gap."""
+    n = draw(st.integers(1, 4))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    mass = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    curv = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    target = np.array(draw(coords))
+    beta = draw(st.floats(0.0, 1.0))
+
+    def smooth(w):
+        r = w.values - target
+        return 0.5 * float(np.dot(mass * curv, r * r)), w.with_values(curv * r)
+
+    def nonsmooth(w):
+        return beta * float(np.dot(mass, np.abs(w.values)))
+
+    prob = CompositeProblem(smooth, nonsmooth, lmo=None, dual_norm=None)
+    u = ControlField(np.array(draw(coords)), mass)
+    v = ControlField(np.array(draw(coords)), mass)
+    _, grad = smooth(u)
+    gap = pairing(grad, u.diff(v)) + nonsmooth(u) - nonsmooth(v)
+    return prob, u, v, gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segment=convex_segment(),
+    alpha=st.floats(0.0, 0.5, exclude_min=True),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    budget=st.integers(1, 3000),
+    pass_j_u=st.booleans(),
+)
+def test_armijo_matches_linear_scan(segment, alpha, gamma, budget, pass_j_u):
+    prob, u, v, gap = segment
+    assume(math.isfinite(gap) and gap > 0.0)
+    j_u = segment_phi(prob, u, v)(0.0) if pass_j_u else None
+    params = ArmijoParams(alpha, gamma, budget)
+    tests = list(scan_tests(u, v, gap, prob, params, j_u))
+    passes = [passed for _, _, passed in tests]
+    first = passes.index(True) if True in passes else len(passes)
+    got = search_outcome(armijo_step, u, v, gap, prob, params, j_u=j_u)
+    if all(passes[first:]):
+        # the computed test is monotone in n, as it is in exact arithmetic
+        assert got == search_outcome(scan_armijo_step, u, v, gap, prob, params, j_u)
+    elif got is LineSearchError:
+        # past the first pass the decrease fell below rounding and the test
+        # failed again, so the search may bracket a later switch; it raises
+        # only where the test fails just before the scan would stop
+        assert not passes[-1]
+    else:
+        # ... and where it returns, it keeps the backtracking contract
+        step, n, j_new = got
+        assert tests[n] == (step, j_new, True)
+        assert n == 0 or not passes[n - 1]
 
 
 def test_armijo_params_validation():
@@ -174,8 +332,9 @@ def test_armijo_params_validation():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(gap_tol=-1.0)
+    for gap_tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(gap_tol=gap_tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
@@ -285,12 +444,7 @@ def test_armijo_minimality_along_runs():
         for rec, u, v in probes:
             if rec.step == 0.0:
                 continue
-
-            def phi(s):
-                w = u.blend(v, s)
-                f_val, _ = prob.smooth_eval(w)
-                return f_val + prob.nonsmooth_eval(w)
-
+            phi = segment_phi(prob, u, v)
             assert alpha * rec.step * rec.gap <= rec.j_value - phi(rec.step)
             if rec.step < 1.0:
                 seen_backtrack = True
