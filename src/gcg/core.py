@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -258,10 +259,14 @@ def armijo_step(
     or LineSearchError where the scan raises.  A full step costs one probe.
 
     Rounding breaks the monotonicity once the decrease j(u) - j(u + s (v-u))
-    falls below the rounding of j(u): there the test fails again.  A gallop
-    probe that lands there can pass over a band of passing exponents that
-    the scan would find.  Either way the test holds at the returned step,
-    and whenever n > 0 it fails at step / gamma.
+    falls below the rounding of j(u), about 8 eps |j(u)|: there the test can
+    fail and pass again.  So before the gallop jumps past that level it
+    probes the last n whose gamma**n * gap lies above it.  An extra probe
+    leaves the result on a monotone sequence unchanged, and wherever the
+    scan's n lies above that level and the test is monotone down to it, the
+    search returns the scan's n.  Below it a gallop probe can still pass
+    over a band of passing exponents.  Either way the test holds at the
+    returned step, and whenever n > 0 it fails at step / gamma.
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
@@ -285,10 +290,18 @@ def armijo_step(
         passed = target <= j0 - j_s
         return passed, j_s if passed else None
 
+    # the last n with gamma**n * gap above the rounding of j(u)
+    ratio = 8.0 * sys.float_info.epsilon * abs(j0) / gap
+    edge = -1
+    if 0.0 < ratio < 1.0:
+        edge = math.ceil(math.log(ratio) / math.log(gamma)) - 1
+
     lo, hi = -1, 0  # the scan goes on at lo and stops at hi
     stop, j_new = stops_at(hi)
     while not stop:
         lo, hi = hi, min(2 * hi + 2, limit)
+        if lo < edge < hi:
+            hi = edge
         stop, j_new = stops_at(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

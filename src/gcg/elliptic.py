@@ -14,7 +14,7 @@ Minimizers inherit that three-valued structure wherever |p| != beta.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -23,8 +23,7 @@ import numpy as np
 from gcg.core import ControlField
 from gcg.pde import (
     DiscreteOperator,
-    Grid2D,
-    SpatialGrid,
+    Grid,
     assemble_laplacian,
     estimate_c_constant,
     l1_norm,
@@ -36,7 +35,7 @@ from gcg.tracking import TrackingProblem
 class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, operator, penalty weight, bounds, target."""
 
-    grid: SpatialGrid
+    grid: Grid
     operator: DiscreteOperator
     reg_beta: float
     lower: ControlField
@@ -120,68 +119,56 @@ class EllipticProblem(TrackingProblem):
         return float(p.mass[band].sum())
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
-        """Named structure fractions of a control / adjoint pair."""
-        return asdict(structure_report(self, u, p))
+        """Mass fractions describing how bang-bang-off a control is.
+
+        three_value_fraction: nodes within tolerance of {lower, 0, upper}.
+        case_match_fraction: nodes consistent with the adjoint-based case
+        rule (at the lower bound where p > beta, zero where |p| < beta, at
+        the upper bound where p < -beta, anywhere in the adjacent interval
+        on the transition bands |p| = beta).
+        """
+        tol = 1e-6
+        atol = tol * self.bound_scale
+        vals, mass = u.values, u.mass
+        lo, up = self.lower.values, self.upper.values
+        total = float(mass.sum())
+
+        dist3 = np.minimum(
+            np.abs(vals - lo), np.minimum(np.abs(vals), np.abs(vals - up))
+        )
+        three = float(mass[dist3 <= atol].sum()) / total
+
+        beta = self.reg_beta
+        pv = p.values
+        ptol = tol * max(1.0, float(np.max(np.abs(pv))))
+        at_lo = np.abs(vals - lo) <= atol
+        at_up = np.abs(vals - up) <= atol
+        at_zero = np.abs(vals) <= atol
+        in_lo_band = (vals >= lo - atol) & (vals <= atol)
+        in_up_band = (vals >= -atol) & (vals <= up + atol)
+        ok = np.where(
+            pv > beta + ptol,
+            at_lo,
+            np.where(
+                pv < -beta - ptol,
+                at_up,
+                np.where(
+                    np.abs(pv) < beta - ptol,
+                    at_zero,
+                    np.where(pv > 0, in_lo_band, in_up_band),
+                ),
+            ),
+        )
+        case = float(mass[ok].sum()) / total
+        return {"three_value_fraction": three, "case_match_fraction": case}
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
         vals = rng.uniform(self.lower.values, self.upper.values)
         return self.lower.with_values(vals)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Mass fractions describing how bang-bang-off a control is.
-
-    three_value_fraction: nodes within tolerance of {lower, 0, upper}.
-    case_match_fraction: nodes consistent with the adjoint-based case rule
-    (at the lower bound where p > beta, zero where |p| < beta, at the upper
-    bound where p < -beta, anywhere in the adjacent interval on the
-    transition bands |p| = beta).
-    """
-
-    three_value_fraction: float
-    case_match_fraction: float
-
-
-def structure_report(
-    prob: EllipticProblem, u: ControlField, p: ControlField, tol: float = 1e-6
-) -> StructureReport:
-    """Measure-weighted structure check of a control / adjoint pair."""
-    atol = tol * prob.bound_scale
-    vals, mass = u.values, u.mass
-    lo, up = prob.lower.values, prob.upper.values
-    total = float(mass.sum())
-
-    dist3 = np.minimum(np.abs(vals - lo), np.minimum(np.abs(vals), np.abs(vals - up)))
-    three = float(mass[dist3 <= atol].sum()) / total
-
-    beta = prob.reg_beta
-    pv = p.values
-    ptol = tol * max(1.0, float(np.max(np.abs(pv))))
-    at_lo = np.abs(vals - lo) <= atol
-    at_up = np.abs(vals - up) <= atol
-    at_zero = np.abs(vals) <= atol
-    in_lo_band = (vals >= lo - atol) & (vals <= atol)
-    in_up_band = (vals >= -atol) & (vals <= up + atol)
-    ok = np.where(
-        pv > beta + ptol,
-        at_lo,
-        np.where(
-            pv < -beta - ptol,
-            at_up,
-            np.where(
-                np.abs(pv) < beta - ptol,
-                at_zero,
-                np.where(pv > 0, in_lo_band, in_up_band),
-            ),
-        ),
-    )
-    case = float(mass[ok].sum()) / total
-    return StructureReport(three_value_fraction=three, case_match_fraction=case)
-
-
-def _example_fields(name: str, grid: SpatialGrid):
-    if not isinstance(grid, Grid2D):
+def _example_fields(name: str, grid: Grid):
+    if grid.dim != 2:
         raise ValueError("the bundled examples are posed on the unit square")
     x1, x2 = grid.coords()
     if name == "stadler-ex1":
@@ -209,7 +196,7 @@ def make_example(name: str, n: int) -> EllipticProblem:
     and -5 + 20 x1 beyond, beta = 2e-3, with a fixed source folded into the
     target as target = y_d - K h.
     """
-    grid = Grid2D(n)
+    grid = Grid(n, 2)
     op = assemble_laplacian(grid)
     lower, upper, y_d, source, beta = _example_fields(name, grid)
     target = y_d if source is None else y_d - op.solve(source)

@@ -23,8 +23,7 @@ import numpy as np
 
 from gcg.core import ControlField
 from gcg.pde import (
-    Grid1D,
-    Grid2D,
+    Grid,
     HeatOperator,
     SpaceTimeGrid,
     group_l1_time,
@@ -124,11 +123,10 @@ class ParabolicProblem(TrackingProblem):
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
         """Slice sparsity and the largest slice norms of a control / adjoint pair."""
-        profile = time_profile(self, u, p)
         return {
             "time_sparsity_fraction": time_sparsity_fraction(self, u),
-            "control_norm_max": float(np.max(profile.control_norms)),
-            "adjoint_norm_max": float(np.max(profile.adjoint_norms)),
+            "control_norm_max": float(np.max(slice_l2_norms(u))),
+            "adjoint_norm_max": float(np.max(slice_l2_norms(p))),
         }
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
@@ -141,23 +139,6 @@ class ParabolicProblem(TrackingProblem):
         radii = self.ball_radius * rng.uniform(0.0, 1.0, grid.nt)
         scale = np.where(norms > 0, radii / np.where(norms > 0, norms, 1.0), 0.0)
         return grid.field(slices * scale[:, None])
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Per-slice norms of a control / adjoint pair along the time axis."""
-
-    times: np.ndarray
-    control_norms: np.ndarray
-    adjoint_norms: np.ndarray
-
-
-def time_profile(prob: ParabolicProblem, u: ControlField, p: ControlField) -> TimeProfile:
-    return TimeProfile(
-        times=prob.grid.times(),
-        control_norms=slice_l2_norms(u),
-        adjoint_norms=slice_l2_norms(p),
-    )
 
 
 def time_sparsity_fraction(
@@ -214,11 +195,11 @@ def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:
     interval (a convenience variant, not a published configuration).
     """
     if name == "parabolic-ex":
-        grid = SpaceTimeGrid(Grid2D(nx), nt, horizon=1.0)
+        grid = SpaceTimeGrid(Grid(nx, 2), nt, horizon=1.0)
         x1, x2 = grid.space.coords()
         spatial = np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) * np.exp(2 * x1) / 6.0
     elif name == "parabolic-ex-1d":
-        grid = SpaceTimeGrid(Grid1D(nx), nt, horizon=1.0)
+        grid = SpaceTimeGrid(Grid(nx, 1), nt, horizon=1.0)
         (x,) = grid.space.coords()
         spatial = np.sin(2 * np.pi * x) * np.exp(2 * x) / 6.0
     else:

@@ -1,9 +1,10 @@
 """Finite difference grids, elliptic/parabolic solve kernels, weighted norms.
 
-Spatial domains are the unit interval or unit square with homogeneous
-Dirichlet boundary values.  Interior nodes sit at multiples of h = 1/(n+1);
-the Laplacian is the standard 3-point (1D) or 5-point (2D) stencil divided
-by h**2, and integrals use composite midpoint weights h (1D) or h**2 (2D).
+Spatial domains are the unit interval or unit square, one Grid(n, dim)
+with dim 1 or 2, with homogeneous Dirichlet boundary values.  Interior
+nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
+3-point (1D) or 5-point (2D) stencil divided by h**2, and integrals use
+composite midpoint weights h (1D) or h**2 (2D).
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy import sparse
@@ -23,49 +23,22 @@ from gcg.core import ControlField
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Interior nodes i*h, i = 1..n, of the unit interval, h = 1/(n+1)."""
+class Grid:
+    """Interior nodes of the unit interval (dim 1) or unit square (dim 2).
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("grid needs at least one interior node")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n
-
-    def mass_weights(self) -> np.ndarray:
-        return np.full(self.n, self.h)
-
-    def coords(self) -> tuple[np.ndarray]:
-        return (self.h * np.arange(1, self.n + 1),)
-
-    def field(self, values) -> ControlField:
-        return ControlField(np.asarray(values, dtype=float), self.mass_weights(), self)
-
-    def zero_field(self) -> ControlField:
-        return self.field(np.zeros(self.n_nodes))
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Interior nodes of the unit square, n per direction, h = 1/(n+1).
-
-    Nodes are flattened row-major with x1 varying fastest: node (iy, ix)
+    There are n nodes per direction at multiples of h = 1/(n+1).  In 2D
+    they are flattened row-major with x1 varying fastest: node (iy, ix)
     maps to index iy*n + ix and sits at (x1, x2) = ((ix+1) h, (iy+1) h).
     """
 
     n: int
+    dim: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("grid needs at least one interior node")
+        if self.dim not in (1, 2):
+            raise ValueError("grid dimension must be 1 or 2")
 
     @property
     def h(self) -> float:
@@ -73,13 +46,15 @@ class Grid2D:
 
     @property
     def n_nodes(self) -> int:
-        return self.n * self.n
+        return self.n**self.dim
 
     def mass_weights(self) -> np.ndarray:
-        return np.full(self.n_nodes, self.h**2)
+        return np.full(self.n_nodes, self.h**self.dim)
 
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+    def coords(self) -> tuple[np.ndarray, ...]:
         axis = self.h * np.arange(1, self.n + 1)
+        if self.dim == 1:
+            return (axis,)
         x2, x1 = np.meshgrid(axis, axis, indexing="ij")
         return x1.ravel(), x2.ravel()
 
@@ -88,9 +63,6 @@ class Grid2D:
 
     def zero_field(self) -> ControlField:
         return self.field(np.zeros(self.n_nodes))
-
-
-SpatialGrid = Union[Grid1D, Grid2D]
 
 
 @dataclass(frozen=True)
@@ -102,7 +74,7 @@ class SpaceTimeGrid:
     space-time quadrature weight tau * (spatial weight) at every node.
     """
 
-    space: SpatialGrid
+    space: Grid
     nt: int
     horizon: float = 1.0
 
@@ -172,13 +144,7 @@ class DiscreteOperator:
         return y
 
 
-def _stiffness_1d(n: int, h: float) -> sparse.csr_matrix:
-    main = np.full(n, 2.0)
-    off = np.full(n - 1, -1.0)
-    return sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-
-
-def assemble_laplacian(grid: SpatialGrid) -> DiscreteOperator:
+def assemble_laplacian(grid: Grid) -> DiscreteOperator:
     """Dirichlet Laplacian stencil: 3-point in 1D, 5-point in 2D.
 
     Diagonal entries are 2/h**2 (1D) or 4/h**2 (2D), neighbor entries
@@ -186,24 +152,19 @@ def assemble_laplacian(grid: SpatialGrid) -> DiscreteOperator:
     positive definite with eigenvalues
     (4/h**2) * sum_d sin(i_d pi h / 2)**2 over the active directions.
     """
-    if isinstance(grid, Grid1D):
-        return DiscreteOperator(_stiffness_1d(grid.n, grid.h))
-    if isinstance(grid, Grid2D):
-        t = _stiffness_1d(grid.n, grid.h)
-        eye = sparse.identity(grid.n, format="csr")
-        return DiscreteOperator(sparse.kron(eye, t) + sparse.kron(t, eye))
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    main = np.full(grid.n, 2.0)
+    off = np.full(grid.n - 1, -1.0)
+    t = sparse.diags([off, main, off], [-1, 0, 1], format="csr") / grid.h**2
+    if grid.dim == 1:
+        return DiscreteOperator(t)
+    eye = sparse.identity(grid.n, format="csr")
+    return DiscreteOperator(sparse.kron(eye, t) + sparse.kron(t, eye))
 
 
-def smallest_laplacian_eigenvalue(grid: SpatialGrid) -> float:
+def smallest_laplacian_eigenvalue(grid: Grid) -> float:
     """Closed-form smallest eigenvalue of the assembled Dirichlet stencil."""
     h = grid.h
-    base = (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
-    if isinstance(grid, Grid1D):
-        return base
-    if isinstance(grid, Grid2D):
-        return 2.0 * base
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
 
 
 def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
@@ -320,17 +281,14 @@ def write_field(path, u: ControlField) -> None:
     significant digits, enough to round-trip float64 exactly.
     """
     meta = u.meta
-    if isinstance(meta, SpaceTimeGrid):
-        space = meta.space
-        nx = space.n
-        ny = space.n if isinstance(space, Grid2D) else 1
-        header = f"{nx} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
-    elif isinstance(meta, Grid2D):
-        header = f"{meta.n} {meta.n} {meta.h:.17g}"
-    elif isinstance(meta, Grid1D):
-        header = f"{meta.n} 1 {meta.h:.17g}"
-    else:
+    space = meta.space if isinstance(meta, SpaceTimeGrid) else meta
+    if space is None:
         raise ValueError("field has no grid descriptor to write a header from")
+    ny = space.n if space.dim == 2 else 1
+    if space is meta:
+        header = f"{space.n} {ny} {space.h:.17g}"
+    else:
+        header = f"{space.n} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(f"{x:.17g}\n" for x in u.values)
@@ -341,24 +299,17 @@ def read_field(path) -> ControlField:
     with open(path) as fh:
         tokens = fh.readline().split()
         values = np.array([float(line) for line in fh if line.strip()])
-    if len(tokens) == 3:
-        nx, ny = int(tokens[0]), int(tokens[1])
-        grid: Union[SpatialGrid, SpaceTimeGrid]
-        grid = Grid1D(nx) if ny == 1 else Grid2D(nx)
-        if ny not in (1, nx):
-            raise ValueError("only square 2D grids are supported")
-    elif len(tokens) == 5:
-        nx, ny, nt = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        space = Grid1D(nx) if ny == 1 else Grid2D(nx)
-        if ny not in (1, nx):
-            raise ValueError("only square 2D grids are supported")
-        tau = float(tokens[4])
-        grid = SpaceTimeGrid(space, nt, horizon=nt * tau)
-    else:
+    if len(tokens) not in (3, 5):
         raise ValueError("unrecognized field header")
+    nx, ny = int(tokens[0]), int(tokens[1])
+    if ny not in (1, nx):
+        raise ValueError("only square 2D grids are supported")
+    grid = space = Grid(nx, 1 if ny == 1 else 2)
+    if len(tokens) == 5:
+        nt, tau = int(tokens[2]), float(tokens[4])
+        grid = SpaceTimeGrid(space, nt, horizon=nt * tau)
     header_h = float(tokens[3 if len(tokens) == 5 else 2])
-    space_grid = grid.space if isinstance(grid, SpaceTimeGrid) else grid
-    if abs(space_grid.h - header_h) > 1e-12 * max(1.0, header_h):
+    if abs(space.h - header_h) > 1e-12 * max(1.0, header_h):
         raise ValueError("header h is inconsistent with the node count")
     if values.size != grid.n_nodes:
         raise ValueError("value count does not match the header")

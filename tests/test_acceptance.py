@@ -15,8 +15,7 @@ import pytest
 from gcg import cli, diagnostics as diag, elliptic, parabolic
 from gcg.core import ArmijoParams, SolverConfig, SolveStatus, gcg_solve, pairing
 from gcg.pde import (
-    Grid1D,
-    Grid2D,
+    Grid,
     HeatOperator,
     SpaceTimeGrid,
     assemble_laplacian,
@@ -130,7 +129,7 @@ def test_criterion_02_adjoint_exactness():
     rng = np.random.default_rng(103)
     worst = 0.0
 
-    grid = Grid2D(16)
+    grid = Grid(16, 2)
     op = assemble_laplacian(grid)
     for trial in range(20):
         u = grid.field(rng.standard_normal(grid.n_nodes))
@@ -138,7 +137,7 @@ def test_criterion_02_adjoint_exactness():
         gap = abs(pairing(solve_poisson(op, u), w) - pairing(u, solve_poisson(op, w)))
         worst = max(worst, gap / (l2_norm(u) * l2_norm(w)))
 
-    st = SpaceTimeGrid(Grid2D(8), nt=10, horizon=1.0)
+    st = SpaceTimeGrid(Grid(8, 2), nt=10, horizon=1.0)
     heat = HeatOperator(st, 0.7)
     for trial in range(20):
         u = st.field(rng.standard_normal(st.n_nodes))
@@ -172,7 +171,7 @@ def test_criterion_03_lmo_brute_force():
             ok = ok and got <= float(obj.min()) + 1e-12
             ok = ok and float(obj.min()) <= got + 2.0 * slack + 1e-12
 
-    grid = SpaceTimeGrid(Grid1D(1), nt=3, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(1, 1), nt=3, horizon=1.0)
     pprob = parabolic.ParabolicProblem(
         grid=grid,
         conductivity=1.0,
@@ -299,7 +298,7 @@ def test_criterion_08a_elliptic_structure(elliptic_run):
     gap = elliptic_run.result.history[-1].gap
     delta = math.sqrt(prob.lipschitz_estimate) * math.sqrt(2.0 * gap)
     certified = 1.0 - prob.growth_measure(p, delta) / float(u.mass.sum())
-    iterate = elliptic.structure_report(prob, u, p).three_value_fraction
+    iterate = prob.structure(u, p)["three_value_fraction"]
     ok = certified >= 0.99
     line = report(
         "criterion 8a elliptic three-valued minimizer",

@@ -99,6 +99,22 @@ def test_history_csv_parses_back(tmp_path, capsys):
     assert rows[-1][5] == "" and rows[-1][6] == ""
 
 
+@pytest.mark.parametrize(
+    "problem, gamma",
+    [("stadler-ex1", "1e-8"), ("stadler-ex1", "1e-12"), ("stadler-ex3", "1e-7")],
+)
+def test_small_gamma_keeps_stepping(tmp_path, capsys, problem, gamma):
+    # gamma**2 * gap lies below the rounding of j(u), where the computed
+    # test is no longer monotone; the line search must still take the
+    # steps that pass above it rather than fail
+    argv = ["run", "--problem", problem, "--n", "8", "--gamma", gamma]
+    assert run_cli(argv + ["--max-iter", "50", "--out-dir", tmp_path]) == 0
+    assert "MaxIterReached after 50 iterations" in capsys.readouterr().out
+    rows = (tmp_path / "history.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 51
+    assert all(float(row.split(",")[3]) > 0.0 for row in rows[:-1])
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_cli(FAST + ["--out-dir", dir_a])

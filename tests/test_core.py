@@ -258,6 +258,21 @@ def test_armijo_matches_scan_on_edge_cases():
     assert at_budget[1] == 69
     over = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, 0.99, 68))
     assert over is LineSearchError
+    # f = |w|^2 / 2 from u = e_4 towards v = -e_4 with gap 2: the test passes
+    # at n = 1, and at n = 2 the decrease 2e-20 rounds to 0 against j(u) = 0.5.
+    # A gallop from n = 0 straight to n = 2 would pass over n = 1 and raise
+    quad = CompositeProblem(
+        lambda w: (0.5 * float(w.values @ w.values), w), lambda w: 0.0, None, None
+    )
+    e4 = field(0.0, 0.0, 0.0, 1.0)
+    params = ArmijoParams(0.5, 1e-10, max_backtracks=2)
+    rounded = assert_matches_scan(e4, e4.with_values(-e4.values), 2.0, quad, params)
+    assert rounded[:2] == (1e-10, 1)
+    # with gamma = eps the scan's n = 1 lies at the rounding of j(u) itself:
+    # the decrease is 2 eps against j(u) = 0.5, and the test still passes
+    eps = float(np.finfo(float).eps)
+    at_rounding = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, eps, 1))
+    assert at_rounding == (eps, 1, 0.5 - 2.0 * eps)
     # u == v: no decrease at any step, so the target underflows and both raise
     same = field(0.5)
     for j_u in (None, 0.125):

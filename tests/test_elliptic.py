@@ -17,13 +17,12 @@ from gcg.elliptic import (
     ELLIPTIC_EXAMPLES,
     EllipticProblem,
     make_example,
-    structure_report,
 )
-from gcg.pde import Grid1D, assemble_laplacian, l2_norm
+from gcg.pde import Grid, assemble_laplacian, l2_norm
 
 
 def small_problem(beta=0.5):
-    grid = Grid1D(3)
+    grid = Grid(3, 1)
     return EllipticProblem(
         grid=grid,
         operator=assemble_laplacian(grid),
@@ -147,24 +146,25 @@ def test_line_objective_matches_direct_evaluation():
             assert phi(s) == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 
-def test_structure_report_hand_case():
+def test_structure_hand_case():
     prob = small_problem(beta=0.5)
     u = prob.grid.field([-1.0, 0.0, 0.5])
     p = prob.grid.field([0.7, 0.1, -0.7])
-    rep = structure_report(prob, u, p)
+    rep = prob.structure(u, p)
+    assert list(rep) == ["three_value_fraction", "case_match_fraction"]
     # node 2 sits strictly between 0 and the bound where p < -beta
-    assert rep.three_value_fraction == pytest.approx(2.0 / 3.0)
-    assert rep.case_match_fraction == pytest.approx(2.0 / 3.0)
+    assert rep["three_value_fraction"] == pytest.approx(2.0 / 3.0)
+    assert rep["case_match_fraction"] == pytest.approx(2.0 / 3.0)
 
 
-def test_structure_report_transition_band():
+def test_structure_transition_band():
     prob = small_problem(beta=0.5)
     # p exactly at the threshold: any value in the adjacent interval is fine
     u = prob.grid.field([-0.3, 0.0, 0.0])
     p = prob.grid.field([0.5, 0.0, 0.0])
-    rep = structure_report(prob, u, p)
-    assert rep.case_match_fraction == pytest.approx(1.0)
-    assert rep.three_value_fraction == pytest.approx(2.0 / 3.0)
+    rep = prob.structure(u, p)
+    assert rep["case_match_fraction"] == pytest.approx(1.0)
+    assert rep["three_value_fraction"] == pytest.approx(2.0 / 3.0)
 
 
 def test_growth_measure_band_mass():
@@ -263,7 +263,7 @@ def test_sample_feasible_respects_bounds():
 
 
 def test_problem_validation():
-    grid = Grid1D(3)
+    grid = Grid(3, 1)
     op = assemble_laplacian(grid)
     ones = grid.field(np.ones(3))
     neg_ones = grid.field(-np.ones(3))
@@ -275,7 +275,7 @@ def test_problem_validation():
         EllipticProblem(grid, op, 0.1, ones, ones, zeros)
     with pytest.raises(ValueError):
         EllipticProblem(
-            grid, op, 0.1, neg_ones, ones, Grid1D(4).zero_field()
+            grid, op, 0.1, neg_ones, ones, Grid(4, 1).zero_field()
         )
 
 
@@ -283,4 +283,4 @@ def test_examples_are_square_only():
     with pytest.raises(ValueError):
         from gcg.elliptic import _example_fields
 
-        _example_fields("stadler-ex1", Grid1D(4))
+        _example_fields("stadler-ex1", Grid(4, 1))

@@ -11,14 +11,12 @@ from gcg.parabolic import (
     ParabolicProblem,
     make_example,
     power_convexity_check,
-    time_profile,
-    time_sparsity_fraction,
 )
-from gcg.pde import Grid1D, SpaceTimeGrid, slice_l2_norms
+from gcg.pde import Grid, SpaceTimeGrid, slice_l2_norms
 
 
 def tiny_problem(alpha=0.5, radius=1.0, nt=3):
-    grid = SpaceTimeGrid(Grid1D(1), nt=nt, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(1, 1), nt=nt, horizon=1.0)
     return ParabolicProblem(
         grid=grid,
         conductivity=1.0,
@@ -74,7 +72,7 @@ def test_lmo_certificate_against_random_feasible_points():
 
 
 def test_lmo_slice_cases():
-    grid = SpaceTimeGrid(Grid1D(1), nt=3, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(1, 1), nt=3, horizon=1.0)
     h = grid.space.h
     loud = 3.0 / math.sqrt(h)
     p = grid.field([loud, 0.5 / math.sqrt(h), 0.1])
@@ -183,17 +181,20 @@ def test_solution_slice_structure():
         assert err <= 5e-3 * m_ball
 
 
-def test_time_profile_and_sparsity():
+def test_structure_slice_norms_and_sparsity():
     prob = tiny_problem(alpha=0.5, radius=0.8, nt=4)
     h = prob.grid.space.h
     scale = 1.0 / math.sqrt(h)
     u = prob.grid.field(np.array([0.0, 0.8, 0.4, 0.8]) * scale)
     _, p = prob.f_and_grad(u)
-    tp = time_profile(prob, u, p)
-    np.testing.assert_allclose(tp.times, [0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(tp.control_norms, [0.0, 0.8, 0.4, 0.8], atol=1e-14)
-    assert tp.adjoint_norms.shape == (4,)
-    assert time_sparsity_fraction(prob, u) == pytest.approx(0.75)
+    np.testing.assert_allclose(prob.grid.times(), [0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(slice_l2_norms(u), [0.0, 0.8, 0.4, 0.8], atol=1e-14)
+    rep = prob.structure(u, p)
+    keys = ["time_sparsity_fraction", "control_norm_max", "adjoint_norm_max"]
+    assert list(rep) == keys
+    assert rep["time_sparsity_fraction"] == pytest.approx(0.75)
+    assert rep["control_norm_max"] == pytest.approx(0.8)
+    assert rep["adjoint_norm_max"] == float(np.max(slice_l2_norms(p)))
 
 
 def test_growth_measure_time_band():
@@ -245,11 +246,11 @@ def test_sample_feasible_stays_in_ball():
 
 
 def test_problem_validation():
-    grid = SpaceTimeGrid(Grid1D(2), nt=2, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(2, 1), nt=2, horizon=1.0)
     target = grid.zero_field()
     with pytest.raises(ValueError):
         ParabolicProblem(grid, 1.0, -0.1, 1.0, target)
     with pytest.raises(ValueError):
         ParabolicProblem(grid, 1.0, 0.1, 0.0, target)
     with pytest.raises(ValueError):
-        ParabolicProblem(grid, 1.0, 0.1, 1.0, Grid1D(2).zero_field())
+        ParabolicProblem(grid, 1.0, 0.1, 1.0, Grid(2, 1).zero_field())

@@ -8,8 +8,7 @@ import pytest
 from gcg.core import pairing
 from gcg.pde import (
     DiscreteOperator,
-    Grid1D,
-    Grid2D,
+    Grid,
     HeatOperator,
     SpaceTimeGrid,
     assemble_laplacian,
@@ -27,13 +26,13 @@ from gcg.pde import (
 
 
 def test_grid_basics():
-    g1 = Grid1D(3)
+    g1 = Grid(3, 1)
     assert g1.h == 0.25
     assert g1.n_nodes == 3
     np.testing.assert_allclose(g1.mass_weights(), [0.25, 0.25, 0.25])
     np.testing.assert_allclose(g1.coords()[0], [0.25, 0.5, 0.75])
 
-    g2 = Grid2D(2)
+    g2 = Grid(2, 2)
     assert g2.h == pytest.approx(1.0 / 3.0)
     assert g2.n_nodes == 4
     np.testing.assert_allclose(g2.mass_weights(), np.full(4, 1.0 / 9.0))
@@ -42,7 +41,7 @@ def test_grid_basics():
     np.testing.assert_allclose(x1, [1 / 3, 2 / 3, 1 / 3, 2 / 3])
     np.testing.assert_allclose(x2, [1 / 3, 1 / 3, 2 / 3, 2 / 3])
 
-    st = SpaceTimeGrid(Grid1D(2), nt=3, horizon=1.5)
+    st = SpaceTimeGrid(Grid(2, 1), nt=3, horizon=1.5)
     assert st.tau == 0.5
     assert st.n_nodes == 6
     np.testing.assert_allclose(st.times(), [0.5, 1.0, 1.5])
@@ -54,22 +53,25 @@ def test_grid_basics():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        Grid1D(0)
+        Grid(0, 1)
     with pytest.raises(ValueError):
-        Grid2D(0)
+        Grid(0, 2)
+    for dim in (0, 3):
+        with pytest.raises(ValueError):
+            Grid(3, dim)
     with pytest.raises(ValueError):
-        SpaceTimeGrid(Grid1D(2), nt=0)
+        SpaceTimeGrid(Grid(2, 1), nt=0)
     with pytest.raises(ValueError):
-        SpaceTimeGrid(Grid1D(2), nt=4, horizon=0.0)
+        SpaceTimeGrid(Grid(2, 1), nt=4, horizon=0.0)
 
 
 def test_laplacian_smallest_cases():
     # one interior node on the square: h = 1/2, diagonal 4/h**2 = 16
-    op2 = assemble_laplacian(Grid2D(1))
+    op2 = assemble_laplacian(Grid(1, 2))
     np.testing.assert_allclose(op2.matrix.toarray(), [[16.0]])
 
     # 1D with n = 3: 16 * tridiag(-1, 2, -1)
-    op1 = assemble_laplacian(Grid1D(3))
+    op1 = assemble_laplacian(Grid(3, 1))
     expected = 16.0 * np.array(
         [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
     )
@@ -78,7 +80,7 @@ def test_laplacian_smallest_cases():
 
 def test_laplacian_2d_matches_kron_structure():
     n = 4
-    op = assemble_laplacian(Grid2D(n))
+    op = assemble_laplacian(Grid(n, 2))
     dense = op.matrix.toarray()
     assert dense.shape == (16, 16)
     np.testing.assert_allclose(dense, dense.T)
@@ -93,7 +95,7 @@ def test_laplacian_2d_matches_kron_structure():
 def test_poisson_quadratic_exact():
     # -y'' = 1 with zero boundary has solution x(1-x)/2; the 3-point stencil
     # reproduces it exactly because the truncation error needs 4 derivatives
-    grid = Grid1D(3)
+    grid = Grid(3, 1)
     rhs = grid.field(np.ones(3))
     y = solve_poisson(assemble_laplacian(grid), rhs)
     np.testing.assert_allclose(y.values, [0.09375, 0.125, 0.09375], atol=1e-14)
@@ -101,13 +103,13 @@ def test_poisson_quadratic_exact():
 
 
 def test_poisson_rejects_length_mismatch():
-    op = assemble_laplacian(Grid1D(3))
+    op = assemble_laplacian(Grid(3, 1))
     with pytest.raises(ValueError):
-        solve_poisson(op, Grid1D(4).field(np.ones(4)))
+        solve_poisson(op, Grid(4, 1).field(np.ones(4)))
 
 
 def test_smallest_eigenvalue_matches_dense():
-    for grid in (Grid1D(7), Grid2D(7)):
+    for grid in (Grid(7, 1), Grid(7, 2)):
         dense = assemble_laplacian(grid).matrix.toarray()
         mu_dense = float(np.linalg.eigvalsh(dense)[0])
         mu = smallest_laplacian_eigenvalue(grid)
@@ -115,7 +117,7 @@ def test_smallest_eigenvalue_matches_dense():
 
 
 def test_operator_solver_contract():
-    op = assemble_laplacian(Grid1D(5))
+    op = assemble_laplacian(Grid(5, 1))
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(5)
     y = op.solve(rhs)
@@ -130,7 +132,7 @@ def test_operator_solver_contract():
 
 def test_elliptic_solve_is_self_adjoint():
     rng = np.random.default_rng(17)
-    for grid in (Grid1D(9), Grid2D(6)):
+    for grid in (Grid(9, 1), Grid(6, 2)):
         op = assemble_laplacian(grid)
         for trial in range(10):
             u = grid.field(rng.standard_normal(grid.n_nodes))
@@ -144,7 +146,7 @@ def test_elliptic_solve_is_self_adjoint():
 def test_heat_single_node_single_step():
     # one interior node on the square, one step of length 1: the stencil is
     # the scalar 16, so (1 + tau * a * 16) y = tau * u gives y = u / 17
-    grid = SpaceTimeGrid(Grid2D(1), nt=1, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(1, 2), nt=1, horizon=1.0)
     u = grid.field([1.0])
     y = grid.field(HeatOperator(grid, 1.0).forward(grid.as_slices(u.values)))
     assert y.values[0] == pytest.approx(1.0 / 17.0, rel=1e-14)
@@ -152,7 +154,7 @@ def test_heat_single_node_single_step():
 
 def test_heat_matches_dense_recursion():
     # replay the implicit Euler recursion with dense linear algebra
-    grid = SpaceTimeGrid(Grid1D(4), nt=6, horizon=0.9)
+    grid = SpaceTimeGrid(Grid(4, 1), nt=6, horizon=0.9)
     a = 0.7
     rng = np.random.default_rng(5)
     u = grid.field(rng.standard_normal(grid.n_nodes))
@@ -172,7 +174,7 @@ def test_heat_matches_dense_recursion():
 
 def test_heat_adjoint_is_transpose():
     rng = np.random.default_rng(23)
-    for space, nt in ((Grid1D(5), 7), (Grid2D(3), 4)):
+    for space, nt in ((Grid(5, 1), 7), (Grid(3, 2), 4)):
         grid = SpaceTimeGrid(space, nt=nt, horizon=1.3)
         heat = HeatOperator(grid, 0.8)
         for trial in range(10):
@@ -187,7 +189,7 @@ def test_heat_adjoint_is_transpose():
 def test_heat_reaches_steady_state():
     # a constant source drives the discrete state to the exact fixed point
     # (a A)^-1 u of the stepping map; at horizon 40 the transient is gone
-    grid = SpaceTimeGrid(Grid1D(3), nt=400, horizon=40.0)
+    grid = SpaceTimeGrid(Grid(3, 1), nt=400, horizon=40.0)
     a = 1.0
     source = np.ones(3)
     u = grid.field(np.tile(source, grid.nt))
@@ -199,7 +201,7 @@ def test_heat_reaches_steady_state():
 
 def test_heat_stability_bound():
     # |S u|_L2 <= c * (time integral of slice l2 norms) for the closed-form c
-    grid = SpaceTimeGrid(Grid1D(4), nt=8, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(4, 1), nt=8, horizon=1.0)
     a = 0.5
     c = heat_c_constant(grid, a)
     rng = np.random.default_rng(41)
@@ -212,7 +214,7 @@ def test_heat_stability_bound():
 def test_heat_c_constant_attained_by_slow_mode():
     # an impulse on the first slice shaped like the slowest stencil mode
     # attains the closed-form response ratio exactly
-    space = Grid1D(3)
+    space = Grid(3, 1)
     grid = SpaceTimeGrid(space, nt=5, horizon=1.0)
     a = 0.7
     x = space.coords()[0]
@@ -226,18 +228,18 @@ def test_heat_c_constant_attained_by_slow_mode():
 
 
 def test_heat_rejects_bad_conductivity():
-    grid = SpaceTimeGrid(Grid1D(2), nt=2, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(2, 1), nt=2, horizon=1.0)
     with pytest.raises(ValueError):
         HeatOperator(grid, 0.0)
 
 
 def test_norm_hand_values():
-    g = Grid1D(3)
+    g = Grid(3, 1)
     u = g.field([1.0, -2.0, 2.0])
     assert l1_norm(u) == pytest.approx(1.25)
     assert l2_norm(u) == pytest.approx(1.5)
 
-    grid = SpaceTimeGrid(Grid1D(1), nt=2, horizon=1.0)
+    grid = SpaceTimeGrid(Grid(1, 1), nt=2, horizon=1.0)
     w = grid.field([3.0, -4.0])
     np.testing.assert_allclose(
         slice_l2_norms(w), [3.0 / math.sqrt(2.0), 4.0 / math.sqrt(2.0)]
@@ -246,7 +248,7 @@ def test_norm_hand_values():
 
 
 def test_slice_norms_need_space_time_grid():
-    u = Grid1D(3).field([1.0, 2.0, 3.0])
+    u = Grid(3, 1).field([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         slice_l2_norms(u)
     with pytest.raises(ValueError):
@@ -255,14 +257,14 @@ def test_slice_norms_need_space_time_grid():
 
 def test_estimate_c_constant_single_node():
     # inverse of [[16]] paired with mass 1/4: sqrt(1/4)*(1/16)/(1/4) = 1/8
-    grid = Grid2D(1)
+    grid = Grid(1, 2)
     op = assemble_laplacian(grid)
     c = estimate_c_constant(op, grid.mass_weights())
     assert c == pytest.approx(0.125, rel=1e-14)
 
 
 def test_estimate_c_constant_matches_dense_scan():
-    grid = Grid1D(6)
+    grid = Grid(6, 1)
     op = assemble_laplacian(grid)
     mass = grid.mass_weights()
     inv = np.linalg.inv(op.matrix.toarray())
@@ -277,7 +279,7 @@ def test_estimate_c_constant_matches_dense_scan():
 
 
 def test_estimate_c_constant_bounds_random_inputs():
-    grid = Grid1D(8)
+    grid = Grid(8, 1)
     op = assemble_laplacian(grid)
     mass = grid.mass_weights()
     c = estimate_c_constant(op, mass)
@@ -290,7 +292,7 @@ def test_estimate_c_constant_bounds_random_inputs():
 
 def test_field_round_trip(tmp_path):
     rng = np.random.default_rng(31)
-    grids = [Grid1D(4), Grid2D(3), SpaceTimeGrid(Grid1D(3), nt=4, horizon=2.0)]
+    grids = [Grid(4, 1), Grid(3, 2), SpaceTimeGrid(Grid(3, 1), nt=4, horizon=2.0)]
     for i, grid in enumerate(grids):
         u = grid.field(rng.standard_normal(grid.n_nodes))
         path = tmp_path / f"field_{i}.txt"
@@ -298,7 +300,7 @@ def test_field_round_trip(tmp_path):
         back = read_field(path)
         np.testing.assert_array_equal(back.values, u.values)
         np.testing.assert_array_equal(back.mass, u.mass)
-        assert type(back.meta) is type(grid)
+        assert back.meta == grid
     st = read_field(tmp_path / "field_2.txt").meta
     assert st.nt == 4
     assert st.tau == pytest.approx(0.5)
@@ -313,6 +315,9 @@ def test_field_io_rejects_bad_headers(tmp_path):
     with pytest.raises(ValueError):
         read_field(path)
     path.write_text("3 2 0.25\n" + "0\n" * 6)  # non-square 2D layout
+    with pytest.raises(ValueError):
+        read_field(path)
+    path.write_text("3 2 4 0.25 0.5\n" + "0\n" * 24)  # the same, space-time
     with pytest.raises(ValueError):
         read_field(path)
     path.write_text("2 1 0.3333333333333333\n0\n")  # value count mismatch
