@@ -25,8 +25,8 @@ from gcg.pde import (
     DiscreteOperator,
     Grid,
     assemble_laplacian,
-    estimate_c_constant,
     l1_norm,
+    laplacian_c_constant,
 )
 from gcg.tracking import TrackingProblem
 
@@ -102,8 +102,17 @@ class EllipticProblem(TrackingProblem):
 
     @cached_property
     def lipschitz_estimate(self) -> float:
-        """Gradient Lipschitz bound c**2 from the l2-by-l1 operator scan."""
-        c = estimate_c_constant(self.operator, self.grid.mass_weights())
+        """Gradient Lipschitz bound c**2, c the l2-by-l1 bound of K.
+
+        c comes in closed form from the sine eigenbasis of the grid's
+        stencil (pde.laplacian_c_constant), so an operator with any other
+        entries raises ValueError; pde.estimate_c_constant is its oracle.
+        """
+        stencil = assemble_laplacian(self.grid).matrix
+        matrix = self.operator.matrix
+        if matrix.shape != stencil.shape or (matrix != stencil).nnz:
+            raise ValueError("the closed-form bound needs the grid's own stencil")
+        c = laplacian_c_constant(self.grid)
         return c * c
 
     @property

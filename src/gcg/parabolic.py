@@ -152,40 +152,6 @@ def time_sparsity_fraction(
     return float(np.count_nonzero(ok)) / norms.size
 
 
-def power_convexity_check(
-    p: ControlField, trials: int, seed: int = 0
-) -> float:
-    """Minimum of (|p| - (p, v)) / (2 |p| |u - v|**2) over random unit-ball v.
-
-    u = p/|p| maximizes the pairing over the unit ball; the ratio is the
-    modulus with which the maximum is attained.  In this weighted Euclidean
-    geometry the infimum over the ball is 1/4 (attained as |v| -> 1), so the
-    sampled minimum sits slightly above it.  Points with |u - v| <= 1e-8
-    are skipped.  Requires p != 0.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    mass = p.mass
-    p_norm = math.sqrt(float(np.dot(mass, p.values**2)))
-    if p_norm == 0.0:
-        raise ValueError("the check needs a nonzero reference vector")
-    u = p.values / p_norm
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(trials):
-        g = rng.standard_normal(p.size)
-        g_norm = math.sqrt(float(np.dot(mass, g**2)))
-        if g_norm == 0.0:
-            continue
-        v = (rng.uniform() / g_norm) * g
-        dist_sq = float(np.dot(mass, (u - v) ** 2))
-        if dist_sq <= 1e-16:
-            continue
-        num = p_norm - float(np.dot(mass, p.values * v))
-        best = min(best, num / (2.0 * p_norm * dist_sq))
-    return best
-
-
 def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:
     """Build a bundled heat tracking instance.
 

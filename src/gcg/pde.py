@@ -8,6 +8,10 @@ composite midpoint weights h (1D) or h**2 (2D).
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
+The l2-by-l1 response constants of both solution operators come in closed
+form from the stencil's sine eigenbasis: laplacian_c_constant for the
+inverse Laplacian, heat_c_constant for the heat solve.  estimate_c_constant
+scans the columns of any operator's inverse and serves as their oracle.
 """
 
 from __future__ import annotations
@@ -167,13 +171,6 @@ def smallest_laplacian_eigenvalue(grid: Grid) -> float:
     return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
 
 
-def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
-    """Solve op @ y = rhs nodewise; mass weights and grid tag carry over."""
-    if rhs.size != op.size:
-        raise ValueError("rhs length does not match the operator")
-    return rhs.with_values(op.solve(rhs.values))
-
-
 class HeatOperator:
     """Implicit Euler stepping for d/dt y + a * (Laplacian stencil) y = u.
 
@@ -258,6 +255,33 @@ def estimate_c_constant(op: DiscreteOperator, mass: np.ndarray, chunk: int = 256
     return best
 
 
+def laplacian_c_constant(grid: Grid) -> float:
+    """Largest l2 response of the inverse stencil over unit-l1 node inputs.
+
+    The value estimate_c_constant scans for, c = max_j |A**-1 e_j|_2,mass /
+    mass_j, in closed form.  The orthonormal DST-I matrix
+    S = sqrt(2h) sin(pi h j k) diagonalises the 1D stencil, so
+    A = (S x S) Lambda (S x S)^T in 2D and
+    c**2 = max_j diag(A**-2)_j / h**dim, a column maximum of
+    (S o S) Lambda**-2 (S o S)^T with o the entrywise product.
+    """
+    h = grid.h
+    k = np.arange(1, grid.n + 1)
+    s2 = 2.0 * h * np.sin(math.pi * h * np.outer(k, k)) ** 2
+    # 1D stencil eigenvalues 4 sin(x)**2 / h**2 with x = pi h k / 2.  From
+    # the middle mode up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of
+    # cancellation and exact at x = pi/4, the only mode of Grid(1, dim).
+    t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
+    mu = np.where(
+        t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
+    ) / h**2
+    if grid.dim == 1:
+        diag = s2 @ mu**-2.0
+    else:
+        diag = s2 @ (mu[:, None] + mu[None, :]) ** -2.0 @ s2.T
+    return math.sqrt(float(diag.max()) / h**grid.dim)
+
+
 def heat_c_constant(grid: SpaceTimeGrid, conductivity: float) -> float:
     """Largest space-time l2 response over unit time-slice impulses.
 
@@ -278,12 +302,15 @@ def write_field(path, u: ControlField) -> None:
 
     Spatial fields get the header "nx ny h" (ny = 1 in 1D); space-time
     fields get "nx ny nt h tau".  Values are printed row-major with 17
-    significant digits, enough to round-trip float64 exactly.
+    significant digits, enough to round-trip float64 exactly.  A 2D grid
+    with n = 1 is refused: its header "1 1 h" would read back as 1D.
     """
     meta = u.meta
     space = meta.space if isinstance(meta, SpaceTimeGrid) else meta
     if space is None:
         raise ValueError("field has no grid descriptor to write a header from")
+    if space.dim == 2 and space.n == 1:
+        raise ValueError("a 2D grid with n = 1 has no unambiguous header")
     ny = space.n if space.dim == 2 else 1
     if space is meta:
         header = f"{space.n} {ny} {space.h:.17g}"

@@ -13,18 +13,32 @@ import numpy as np
 import pytest
 
 from gcg import cli, diagnostics as diag, elliptic, parabolic
-from gcg.core import ArmijoParams, SolverConfig, SolveStatus, gcg_solve, pairing
+from gcg.core import (
+    ArmijoParams,
+    ControlField,
+    SolverConfig,
+    SolveStatus,
+    gcg_solve,
+    pairing,
+)
 from gcg.pde import (
+    DiscreteOperator,
     Grid,
     HeatOperator,
     SpaceTimeGrid,
     assemble_laplacian,
     l2_norm,
-    solve_poisson,
 )
 
 ALPHA = 0.5
 GAMMA = 0.99
+
+
+def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
+    """Solve op @ y = rhs nodewise; mass weights and grid tag carry over."""
+    if rhs.size != op.size:
+        raise ValueError("rhs length does not match the operator")
+    return rhs.with_values(op.solve(rhs.values))
 
 
 def report(label: str, ok: bool, detail: str = "") -> str:
@@ -288,7 +302,7 @@ def test_criterion_08a_elliptic_structure(elliptic_run):
     The claim is about u*, not the iterate: GCG moves a node towards its
     oracle vertex only by the factor (1 - s_k) per step.  The run certifies
     u* nodewise instead.  f is quadratic, so 0.5 |S(u - u*)|^2 <= j(u) - j*
-    <= gap, and the dual of the column-scan bound gives
+    <= gap, and the dual of the closed-form l2-by-l1 bound of K gives
     |p - p*|_inf <= delta = sqrt(L_est) * sqrt(2 gap).  Wherever
     | |p| - beta | > delta, p* lies on the same side of the threshold as p
     and u* takes the oracle vertex there.

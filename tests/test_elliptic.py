@@ -18,7 +18,7 @@ from gcg.elliptic import (
     EllipticProblem,
     make_example,
 )
-from gcg.pde import Grid, assemble_laplacian, l2_norm
+from gcg.pde import DiscreteOperator, Grid, assemble_laplacian, l2_norm
 
 
 def small_problem(beta=0.5):
@@ -236,9 +236,24 @@ def test_lipschitz_estimate_bounds_gradient_differences():
         assert grad_diff <= big_l * prob.dual_norm(diff) * (1.0 + 1e-12)
 
 
+def test_lipschitz_estimate_needs_the_grid_stencil():
+    prob = make_example("stadler-ex1", 6)
+    scaled = EllipticProblem(
+        grid=prob.grid,
+        operator=DiscreteOperator(2.0 * prob.operator.matrix),
+        reg_beta=prob.reg_beta,
+        lower=prob.lower,
+        upper=prob.upper,
+        target=prob.target,
+    )
+    with pytest.raises(ValueError):
+        scaled.lipschitz_estimate
+
+
 def test_gap_bounds_adjoint_distance_to_minimizer():
     # 0.5 |S(u - u*)|^2 <= gap(u) for the quadratic f, and the dual of the
-    # column-scan bound turns that into |p - p*|_inf <= sqrt(L) sqrt(2 gap);
+    # closed-form l2-by-l1 bound of K turns that into
+    # |p - p*|_inf <= sqrt(L) sqrt(2 gap);
     # two runs at different gaps must then lie within the sum of both radii.
     prob = make_example("stadler-ex1", 12)
     adjoints, radii = [], []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gcg.core import pairing
+from gcg.core import ControlField, pairing
 from gcg.pde import (
     DiscreteOperator,
     Grid,
@@ -17,12 +17,19 @@ from gcg.pde import (
     heat_c_constant,
     l1_norm,
     l2_norm,
+    laplacian_c_constant,
     read_field,
     slice_l2_norms,
     smallest_laplacian_eigenvalue,
-    solve_poisson,
     write_field,
 )
+
+
+def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
+    """Solve op @ y = rhs nodewise; mass weights and grid tag carry over."""
+    if rhs.size != op.size:
+        raise ValueError("rhs length does not match the operator")
+    return rhs.with_values(op.solve(rhs.values))
 
 
 def test_grid_basics():
@@ -290,6 +297,21 @@ def test_estimate_c_constant_bounds_random_inputs():
         assert l2_norm(y) <= c * l1_norm(u) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "dim, n", [(1, 1), (1, 3), (1, 8), (1, 100), (2, 1), (2, 3), (2, 8), (2, 32)]
+)
+def test_laplacian_c_constant_matches_scan(dim, n):
+    grid = Grid(n, dim)
+    scan = estimate_c_constant(assemble_laplacian(grid), grid.mass_weights())
+    closed = laplacian_c_constant(grid)
+    assert closed**2 == pytest.approx(scan**2, rel=1e-13)
+
+
+def test_laplacian_c_constant_single_node():
+    # the closed form reproduces the scan's hand value 1/8 to the last bit
+    assert laplacian_c_constant(Grid(1, 2)) == 0.125
+
+
 def test_field_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     grids = [Grid(4, 1), Grid(3, 2), SpaceTimeGrid(Grid(3, 1), nt=4, horizon=2.0)]
@@ -325,6 +347,10 @@ def test_field_io_rejects_bad_headers(tmp_path):
         read_field(path)
     with pytest.raises(ValueError):
         write_field(path, ControlFieldNoMeta())
+    # the header "1 1 h" of Grid(1, 2) would read back as Grid(1, 1)
+    for grid in (Grid(1, 2), SpaceTimeGrid(Grid(1, 2), nt=3, horizon=1.0)):
+        with pytest.raises(ValueError):
+            write_field(path, grid.zero_field())
 
 
 class ControlFieldNoMeta:
