@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import diagnostics as diag
 from . import elliptic, parabolic
@@ -27,19 +28,7 @@ from .core import (
     SolveStatus,
     gcg_solve,
 )
-from .pde import write_field
-
-_DEFAULTS = {
-    "n": None,  # per-problem default filled in below
-    "nt": 100,
-    "tol": 1e-10,
-    "max_iter": 1000,
-    "alpha": 0.5,
-    "gamma": 0.99,
-    "out_dir": ".",
-    "track_errors": False,
-    "diagnostics": True,
-}
+from .pde import field_header, write_field
 
 
 def _elliptic(config: RunConfig):
@@ -64,18 +53,23 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one solver invocation."""
+    """Fully resolved settings for one solver invocation.
+
+    The fields are the settings-file keys, with ``tol`` in the file for
+    ``gap_tol``.  A setting that neither the file nor a flag gives takes
+    the default here; ``n = None`` takes the problem's grid size.
+    """
 
     problem: str
-    n: int
-    nt: int
-    gap_tol: float
-    max_iter: int
-    alpha: float
-    gamma: float
-    out_dir: str
-    track_errors: bool
-    diagnostics: bool
+    n: int | None = None
+    nt: int = 100
+    gap_tol: float = 1e-10
+    max_iter: int = 1000
+    alpha: float = 0.5
+    gamma: float = 0.99
+    out_dir: str = "."
+    track_errors: bool = False
+    diagnostics: bool = True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--problem", required=True, help="registry name (see: gcg list)")
     run_p.add_argument("--n", type=int, default=None, help="spatial nodes per direction")
     run_p.add_argument("--nt", type=int, default=None, help="time steps (parabolic only)")
-    run_p.add_argument("--tol", type=float, default=None, help="gap tolerance")
+    run_p.add_argument("--tol", dest="gap_tol", type=float, default=None, help="gap tolerance")
     run_p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     run_p.add_argument("--alpha", type=float, default=None, help="descent fraction")
     run_p.add_argument("--gamma", type=float, default=None, help="backtracking ratio")
@@ -107,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--no-diagnostics",
-        action="store_true",
+        dest="diagnostics",
+        action="store_false",
         default=None,
         help="skip the diagnostics report",
     )
@@ -125,24 +120,32 @@ _BOOL_WORDS = {
     "0": False,
 }
 
-_CONFIG_KEYS = {
-    "problem": str,
-    "n": int,
-    "nt": int,
-    "tol": float,
-    "max_iter": int,
-    "alpha": float,
-    "gamma": float,
-    "out_dir": str,
-    "track_errors": bool,
-    "diagnostics": bool,
+_FILE_KEYS = {"gap_tol": "tol"}  # RunConfig field -> settings-file key
+
+
+def _value_type(hint) -> type:
+    """The type a setting's text converts to; ``int | None`` reads as int."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_HINTS = get_type_hints(RunConfig)
+# settings-file key -> (RunConfig field, value type)
+_SETTINGS = {
+    _FILE_KEYS.get(f.name, f.name): (f.name, _value_type(_HINTS[f.name]))
+    for f in fields(RunConfig)
 }
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key=value settings file; '#' starts a comment."""
+    """Parse a flat key=value settings file into RunConfig field values.
+
+    '#' starts a comment.  The file must be UTF-8 text.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     settings = {}
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,61 +153,33 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown setting {key!r}")
-        value_type = _CONFIG_KEYS[key]
+        name, value_type = _SETTINGS[key]
         try:
             if value_type is bool:
-                settings[key] = _BOOL_WORDS[value.lower()]
+                settings[name] = _BOOL_WORDS[value.lower()]
             else:
-                settings[key] = value_type(value)
+                settings[name] = value_type(value)
         except (KeyError, ValueError):
             raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return settings
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win) into a RunConfig."""
-    merged = dict(_DEFAULTS)
-    merged["problem"] = None
-    if args.config is not None:
-        merged.update(load_config_file(args.config))
-    flag_map = {
-        "problem": args.problem,
-        "n": args.n,
-        "nt": args.nt,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "out_dir": args.out_dir,
-    }
-    for key, value in flag_map.items():
+    """Merge the config file, then the flags given (flags win), into a RunConfig."""
+    settings = {} if args.config is None else load_config_file(args.config)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[key] = value
-    if args.track_errors is not None:
-        merged["track_errors"] = True
-    if args.no_diagnostics is not None:
-        merged["diagnostics"] = False
-
-    name = merged["problem"]
+            settings[f.name] = value
+    name = settings.get("problem")
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise UsageError(f"unknown problem {name!r} (known: {known})")
-    if merged["n"] is None:
-        merged["n"] = _REGISTRY[name][1]
-    return RunConfig(
-        problem=name,
-        n=int(merged["n"]),
-        nt=int(merged["nt"]),
-        gap_tol=float(merged["tol"]),
-        max_iter=int(merged["max_iter"]),
-        alpha=float(merged["alpha"]),
-        gamma=float(merged["gamma"]),
-        out_dir=str(merged["out_dir"]),
-        track_errors=bool(merged["track_errors"]),
-        diagnostics=bool(merged["diagnostics"]),
-    )
+    if settings.get("n") is None:
+        settings["n"] = _REGISTRY[name][1]
+    return RunConfig(**settings)
 
 
 def _fmt(value) -> str:
@@ -283,12 +258,13 @@ def run(config: RunConfig) -> int:
             armijo=ArmijoParams(alpha=config.alpha, gamma=config.gamma),
         )
         prob = _REGISTRY[config.problem][0](config)
+        u0 = prob.zero_control()
+        field_header(u0.meta)  # refuse a grid control.txt cannot describe
     except ValueError as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return 1
 
     composite = prob.composite()
-    u0 = prob.zero_control()
     try:
         if config.track_errors:
             reference = gcg_solve(composite, u0, solver_config).final_iterate

@@ -2,10 +2,11 @@
 
 The solver in :mod:`gcg.core` produces a history of objective values and
 gap certificates.  This module turns that history into checkable claims:
-a sublinear decay envelope that every run must respect, a geometric rate
-constant for problems with quadratic growth, improved sublinear constants
-driven by a scalar recursion, and least-squares fits for the observed
-decay rate and the growth exponent of the adjoint level sets.
+a sublinear decay envelope that every run must respect, and least-squares
+fits for the observed decay rate and the growth exponent of the adjoint
+level sets.  The scalar recursions behind the convergence proofs, with the
+constants of their improved sublinear bound, are here too, as extremal
+sequences that test those bounds.
 
 Everything here is pure arithmetic on floats and small arrays; nothing
 touches the PDE layer.
@@ -14,22 +15,17 @@ touches the PDE layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RateConstants",
     "check_envelope",
     "envelope_q",
     "fit_kappa",
     "fit_rate",
-    "linear_lambda",
-    "rate_constants",
     "rate_fit_window",
     "recursion_oracle_44",
     "recursion_oracle_48",
-    "report_lines",
     "residuals_from_history",
     "select_growth_bins",
     "sublinear_constants",
@@ -84,18 +80,6 @@ def check_envelope(
     if bad.size:
         return False, int(bad[0])
     return True, None
-
-
-def linear_lambda(alpha: float, gamma: float, L: float, cbar: float) -> float:
-    """Geometric rate constant max{1 - 2 alpha gamma (1-alpha) / (L cbar^2), 1-alpha}.
-
-    Valid for problems whose solution satisfies a quadratic growth
-    condition.  The value can reach or exceed 1 when the supplied
-    constants are inconsistent; the caller decides whether that is fatal.
-    """
-    _require_positive(alpha=alpha, gamma=gamma, L=L, cbar=cbar)
-    first = 1.0 - 2.0 * alpha * gamma * (1.0 - alpha) / (L * cbar * cbar)
-    return max(first, 1.0 - alpha)
 
 
 def sublinear_constants(
@@ -290,112 +274,3 @@ def fit_kappa(epsilons, measures) -> float | None:
     y = np.log(meas[nonzero])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-@dataclass(frozen=True)
-class RateConstants:
-    """Bundle of every constant the convergence theory attaches to a run.
-
-    ``q_env`` drives the unconditional envelope r0 / (1 + q k).  When the
-    growth exponent ``q_growth`` equals 2 the geometric rate
-    ``linear_rate`` applies; for ``q_growth`` > 2 the recursion constants
-    (``C_rec``, ``n_rec``, ``M_rec``) yield the improved sublinear bound
-    with exponent 1/``exponent_beta``.  ``c1``, ``c2`` couple iterate
-    errors to residuals, ``cbar`` is their sum.
-    """
-
-    q_env: float
-    linear_rate: float
-    delta: float
-    exponent_beta: float | None
-    C_rec: float | None
-    n_rec: float | None
-    M_rec: float | None
-    c1: float
-    c2: float
-    cbar: float
-    L_est: float
-    mstar: float
-    theta_hat: float
-    q_growth: float
-
-
-def rate_constants(
-    r0: float,
-    alpha: float,
-    gamma: float,
-    L_est: float,
-    mstar: float,
-    theta_hat: float,
-    kappa_hat: float,
-    rK: float | None = None,
-) -> RateConstants:
-    """Assemble :class:`RateConstants` from measured run quantities.
-
-    ``theta_hat`` is the empirical growth constant (the spot-check
-    minimum) and ``kappa_hat`` the fitted level-set exponent; the growth
-    power is q = 1 + 1/kappa_hat.  The recursion constants are populated
-    only when q > 2 and the derived exponent lies in (0, 1); otherwise
-    the geometric branch applies and they are ``None``.  ``rK`` defaults
-    to min(r0, 1), the residual scale at which the improved bound takes
-    over.
-    """
-    _require_positive(theta_hat=theta_hat, kappa_hat=kappa_hat)
-    q = 1.0 + 1.0 / kappa_hat
-    c1 = (1.0 / theta_hat) ** (1.0 / q)
-    c2 = (L_est / theta_hat) ** (1.0 / (q - 1.0)) * (1.0 / theta_hat) ** (
-        1.0 / (q * (q - 1.0))
-    )
-    cbar = c1 + c2
-    delta = 1.0 - alpha
-    beta = 1.0 - 2.0 / (q * (q - 1.0))
-    C = 2.0 * alpha * gamma * (1.0 - alpha) / (L_est * cbar * cbar)
-    if rK is None:
-        rK = min(r0, 1.0)
-    if 0.0 < beta < 1.0:
-        n_rec, M_rec = sublinear_constants(delta, beta, C, rK)
-        exponent: float | None = beta
-        C_out: float | None = C
-    else:
-        n_rec = M_rec = exponent = C_out = None
-    return RateConstants(
-        q_env=envelope_q(r0, alpha, gamma, L_est, mstar),
-        linear_rate=linear_lambda(alpha, gamma, L_est, cbar),
-        delta=delta,
-        exponent_beta=exponent,
-        C_rec=C_out,
-        n_rec=n_rec,
-        M_rec=M_rec,
-        c1=c1,
-        c2=c2,
-        cbar=cbar,
-        L_est=L_est,
-        mstar=mstar,
-        theta_hat=theta_hat,
-        q_growth=q,
-    )
-
-
-def report_lines(constants: RateConstants) -> list[str]:
-    """Render the constants as one "name = value" line each."""
-    lines = []
-    for name in (
-        "q_env",
-        "linear_rate",
-        "delta",
-        "exponent_beta",
-        "C_rec",
-        "n_rec",
-        "M_rec",
-        "c1",
-        "c2",
-        "cbar",
-        "L_est",
-        "mstar",
-        "theta_hat",
-        "q_growth",
-    ):
-        value = getattr(constants, name)
-        rendered = "n/a" if value is None else repr(float(value))
-        lines.append(f"{name} = {rendered}")
-    return lines

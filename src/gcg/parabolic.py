@@ -122,10 +122,18 @@ class ParabolicProblem(TrackingProblem):
         return float(self.grid.tau * np.count_nonzero(band))
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
-        """Slice sparsity and the largest slice norms of a control / adjoint pair."""
+        """Slice sparsity and the largest slice norms of a control / adjoint pair.
+
+        time_sparsity_fraction: fraction of time slices where |u(t)| lies
+        within 1e-6 * max(1, M) of {0, M}.
+        """
+        norms = slice_l2_norms(u)
+        m = self.ball_radius
+        atol = 1e-6 * max(1.0, m)
+        on_vertex = np.minimum(norms, np.abs(norms - m)) <= atol
         return {
-            "time_sparsity_fraction": time_sparsity_fraction(self, u),
-            "control_norm_max": float(np.max(slice_l2_norms(u))),
+            "time_sparsity_fraction": float(np.count_nonzero(on_vertex)) / norms.size,
+            "control_norm_max": float(np.max(norms)),
             "adjoint_norm_max": float(np.max(slice_l2_norms(p))),
         }
 
@@ -139,17 +147,6 @@ class ParabolicProblem(TrackingProblem):
         radii = self.ball_radius * rng.uniform(0.0, 1.0, grid.nt)
         scale = np.where(norms > 0, radii / np.where(norms > 0, norms, 1.0), 0.0)
         return grid.field(slices * scale[:, None])
-
-
-def time_sparsity_fraction(
-    prob: ParabolicProblem, u: ControlField, tol: float = 1e-6
-) -> float:
-    """Fraction of time measure where |u(t)| is within tol*M of {0, M}."""
-    norms = slice_l2_norms(u)
-    m = prob.ball_radius
-    atol = tol * max(1.0, m)
-    ok = np.minimum(np.abs(norms), np.abs(norms - m)) <= atol
-    return float(np.count_nonzero(ok)) / norms.size
 
 
 def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:

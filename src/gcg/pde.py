@@ -190,22 +190,20 @@ class HeatOperator:
         self.step_op = DiscreteOperator(eye + grid.tau * conductivity * a_matrix)
 
     def forward(self, u_slices: np.ndarray) -> np.ndarray:
-        tau = self.grid.tau
-        y = np.empty_like(u_slices)
-        state = np.zeros(u_slices.shape[1])
-        for m in range(u_slices.shape[0]):
-            state = self.step_op.solve(state + tau * u_slices[m])
-            y[m] = state
-        return y
+        return self._sweep(u_slices, range(u_slices.shape[0]))
 
     def adjoint(self, w_slices: np.ndarray) -> np.ndarray:
+        return self._sweep(w_slices, reversed(range(w_slices.shape[0])))
+
+    def _sweep(self, slices: np.ndarray, order) -> np.ndarray:
+        """Take one implicit Euler step per slice, visiting them in order."""
         tau = self.grid.tau
-        p = np.empty_like(w_slices)
-        state = np.zeros(w_slices.shape[1])
-        for m in range(w_slices.shape[0] - 1, -1, -1):
-            state = self.step_op.solve(state + tau * w_slices[m])
-            p[m] = state
-        return p
+        out = np.empty_like(slices)
+        state = np.zeros(slices.shape[1])
+        for m in order:
+            state = self.step_op.solve(state + tau * slices[m])
+            out[m] = state
+        return out
 
 
 def l1_norm(u: ControlField) -> float:
@@ -297,25 +295,31 @@ def heat_c_constant(grid: SpaceTimeGrid, conductivity: float) -> float:
     return math.sqrt(grid.tau * total)
 
 
-def write_field(path, u: ControlField) -> None:
-    """Write a field as a text dump: header line, then one value per line.
+def field_header(meta) -> str:
+    """Header line of a field dump on a Grid or SpaceTimeGrid.
 
-    Spatial fields get the header "nx ny h" (ny = 1 in 1D); space-time
-    fields get "nx ny nt h tau".  Values are printed row-major with 17
-    significant digits, enough to round-trip float64 exactly.  A 2D grid
-    with n = 1 is refused: its header "1 1 h" would read back as 1D.
+    Spatial grids get "nx ny h" (ny = 1 in 1D); space-time grids get
+    "nx ny nt h tau".  A 2D grid with n = 1 is refused with ValueError:
+    its header "1 1 h" would read back as 1D.
     """
-    meta = u.meta
     space = meta.space if isinstance(meta, SpaceTimeGrid) else meta
     if space is None:
         raise ValueError("field has no grid descriptor to write a header from")
     if space.dim == 2 and space.n == 1:
-        raise ValueError("a 2D grid with n = 1 has no unambiguous header")
+        raise ValueError("a 2D grid with n = 1 has no unambiguous field header")
     ny = space.n if space.dim == 2 else 1
     if space is meta:
-        header = f"{space.n} {ny} {space.h:.17g}"
-    else:
-        header = f"{space.n} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
+        return f"{space.n} {ny} {space.h:.17g}"
+    return f"{space.n} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
+
+
+def write_field(path, u: ControlField) -> None:
+    """Write a field as a text dump: field_header, then one value per line.
+
+    Values are printed row-major with 17 significant digits, enough to
+    round-trip float64 exactly.
+    """
+    header = field_header(u.meta)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(f"{x:.17g}\n" for x in u.values)

@@ -324,9 +324,10 @@ def test_criterion_08a_elliptic_structure(elliptic_run):
 
 
 def test_criterion_08b_parabolic_structure(parabolic_run):
-    fraction = parabolic.time_sparsity_fraction(
-        parabolic_run.prob, parabolic_run.result.final_iterate
-    )
+    u = parabolic_run.result.final_iterate
+    fraction = parabolic_run.prob.structure(u, parabolic_run.adjoint)[
+        "time_sparsity_fraction"
+    ]
     ok = fraction >= 0.95
     line = report(
         "criterion 8b parabolic slice structure",

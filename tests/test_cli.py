@@ -186,6 +186,24 @@ def test_bad_solver_settings_exit_one(tmp_path, capsys, key, value):
     assert not (tmp_path / "history.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--problem", "stadler-ex1", "--n", "1"],
+        ["--problem", "parabolic-ex", "--n", "1", "--nt", "3"],
+    ],
+    ids=["stadler-ex1", "parabolic-ex"],
+)
+def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
+    # control.txt could not describe a 2D grid with one node per direction
+    out_dir = tmp_path / "out"
+    assert run_cli(["run", *argv, "--out-dir", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gcg: error: ") and "n = 1" in captured.err
+    assert "iterations" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the directory should go\n")
@@ -264,6 +282,14 @@ def test_config_file_rejects_bad_content(tmp_path, capsys):
     code = run_cli(["run", "--problem", "stadler-ex1", "--config", no_eq])
     assert code == 1
     assert "expected key=value" in capsys.readouterr().err
+
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"problem = stadler-ex1\n\xff = 3\n")
+    code = run_cli(["run", "--problem", "stadler-ex1", "--config", not_utf8])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("gcg: error: ") and "UTF-8" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_load_config_file_types(tmp_path):

@@ -11,12 +11,9 @@ from gcg.diagnostics import (
     envelope_q,
     fit_kappa,
     fit_rate,
-    linear_lambda,
-    rate_constants,
     rate_fit_window,
     recursion_oracle_44,
     recursion_oracle_48,
-    report_lines,
     residuals_from_history,
     select_growth_bins,
     sublinear_constants,
@@ -83,19 +80,6 @@ def test_residuals_from_history():
         IterateRecord(k=1, j_value=2.5, gap=0.5, step=0.5, backtracks=1),
     ]
     np.testing.assert_allclose(residuals_from_history(hist, 2.0), [1.0, 0.5])
-
-
-def test_linear_lambda_hand_value_and_floor():
-    # 1 - 2*0.5*0.5*0.5 / 1 = 0.75 above the floor 1 - alpha = 0.5
-    assert linear_lambda(0.5, 0.5, 1.0, 1.0) == pytest.approx(0.75)
-    # huge curvature pushes the first term to 1; tiny curvature hits the floor
-    assert linear_lambda(0.5, 0.99, 1e9, 1.0) < 1.0
-    assert linear_lambda(0.5, 0.99, 1e-9, 1.0) == pytest.approx(0.5)
-
-
-def test_linear_lambda_monotone_in_gamma():
-    values = [linear_lambda(0.4, g, 50.0, 1.0) for g in (0.1, 0.5, 0.9, 0.99)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_sublinear_constants_hand_values():
@@ -257,54 +241,3 @@ def test_fit_kappa_vacuous_and_undersampled():
         fit_kappa(eps, np.array([0.0, 0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         fit_kappa(eps, np.array([1.0, 1.0]))
-
-
-def test_rate_constants_geometric_branch():
-    c = rate_constants(
-        r0=1.0, alpha=0.5, gamma=0.99, L_est=2.0, mstar=3.0,
-        theta_hat=0.25, kappa_hat=1.0,
-    )
-    assert c.q_growth == pytest.approx(2.0)
-    assert c.c1 == pytest.approx(2.0)
-    assert c.c2 == pytest.approx(16.0)
-    assert c.cbar == pytest.approx(18.0)
-    assert c.delta == pytest.approx(0.5)
-    assert c.linear_rate == pytest.approx(
-        linear_lambda(0.5, 0.99, 2.0, 18.0), rel=1e-14
-    )
-    assert c.q_env == pytest.approx(envelope_q(1.0, 0.5, 0.99, 2.0, 3.0), rel=1e-14)
-    # beta = 1 - 2/(q(q-1)) = 0 is outside (0, 1): no recursion constants
-    assert c.exponent_beta is None
-    assert c.C_rec is None and c.n_rec is None and c.M_rec is None
-
-
-def test_rate_constants_recursion_branch():
-    c = rate_constants(
-        r0=0.3, alpha=0.5, gamma=0.99, L_est=2.0, mstar=3.0,
-        theta_hat=0.25, kappa_hat=0.8,
-    )
-    assert c.q_growth == pytest.approx(2.25)
-    beta = 1.0 - 2.0 / (2.25 * 1.25)
-    assert c.exponent_beta == pytest.approx(beta, rel=1e-14)
-    expected_c = 2.0 * 0.5 * 0.99 * 0.5 / (2.0 * c.cbar**2)
-    assert c.C_rec == pytest.approx(expected_c, rel=1e-14)
-    n, m = sublinear_constants(0.5, beta, expected_c, 0.3)
-    assert c.n_rec == pytest.approx(n, rel=1e-14)
-    assert c.M_rec == pytest.approx(m, rel=1e-12)
-    with pytest.raises(ValueError):
-        rate_constants(1.0, 0.5, 0.99, 2.0, 3.0, 0.0, 1.0)
-
-
-def test_report_lines_format():
-    c = rate_constants(
-        r0=1.0, alpha=0.5, gamma=0.99, L_est=2.0, mstar=3.0,
-        theta_hat=0.25, kappa_hat=1.0,
-    )
-    lines = report_lines(c)
-    assert len(lines) == 14
-    as_dict = dict(line.split(" = ") for line in lines)
-    assert as_dict["exponent_beta"] == "n/a"
-    assert float(as_dict["cbar"]) == 18.0
-    assert float(as_dict["q_growth"]) == 2.0
-    # values render as plain floats, not numpy scalars
-    assert all("np." not in line for line in lines)
