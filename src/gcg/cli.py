@@ -28,7 +28,7 @@ from .core import (
     SolveStatus,
     gcg_solve,
 )
-from .pde import field_header, write_field
+from .pde import ResidualCheckError, field_header, write_field
 
 
 def _elliptic(config: RunConfig):
@@ -270,7 +270,8 @@ def run(config: RunConfig) -> int:
             reference = gcg_solve(composite, u0, solver_config).final_iterate
             solver_config = replace(solver_config, record_errors_against=reference)
         result = gcg_solve(composite, u0, solver_config)
-    except (OracleError, LineSearchError, ValueError) as exc:
+        lines = _diagnostics_lines(config, prob, result) if config.diagnostics else None
+    except (OracleError, LineSearchError, ResidualCheckError, ValueError) as exc:
         print(f"gcg: numerical failure: {exc}", file=sys.stderr)
         return 2
 
@@ -279,8 +280,7 @@ def run(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_history_csv(out_dir / "history.csv", result.history)
         write_field(out_dir / "control.txt", result.final_iterate)
-        if config.diagnostics:
-            lines = _diagnostics_lines(config, prob, result)
+        if lines is not None:
             (out_dir / "diagnostics.txt").write_text(
                 "\n".join(lines) + "\n", newline="\n"
             )

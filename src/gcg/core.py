@@ -43,6 +43,11 @@ class OracleError(RuntimeError):
     """An oracle returned something inconsistent with its contract."""
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+
+
 @dataclass(frozen=True)
 class ControlField:
     """Discrete field: nodal values plus positive quadrature weights.
@@ -64,9 +69,8 @@ class ControlField:
             raise ValueError("field values and mass must be one-dimensional")
         if values.shape != mass.shape or values.size == 0:
             raise ValueError("field values and mass must share a positive length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        if not np.all(mass > 0.0) or not np.all(np.isfinite(mass)):
+        _check_finite(values)
+        if not ((mass > 0.0).all() and np.isfinite(mass).all()):
             raise ValueError("mass weights must be positive and finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mass", mass)
@@ -76,7 +80,19 @@ class ControlField:
         return self.values.size
 
     def with_values(self, values: np.ndarray) -> "ControlField":
-        return ControlField(values, self.mass, self.meta)
+        """Field on the same nodes; only the new values are checked.
+
+        The mass array is shared with self, which validated it already.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.mass.shape:
+            raise ValueError("field values must be one-dimensional and match the mass")
+        _check_finite(values)
+        field = object.__new__(ControlField)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "mass", self.mass)
+        object.__setattr__(field, "meta", self.meta)
+        return field
 
     def blend(self, other: "ControlField", step: float) -> "ControlField":
         """Point u + step * (other - u) on the segment towards ``other``."""

@@ -8,10 +8,15 @@ composite midpoint weights h (1D) or h**2 (2D).
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
+The orthonormal sine basis diagonalises the stencil, and with it every
+implicit Euler step.  HeatOperator sweeps mode by mode in that basis and
+then checks every step against the assembled stencil; elliptic solves go
+through a sparse LU factorization.  Either check raises ResidualCheckError
+when a step or solve misses relative residual 1e-12.
 The l2-by-l1 response constants of both solution operators come in closed
-form from the stencil's sine eigenbasis: laplacian_c_constant for the
-inverse Laplacian, heat_c_constant for the heat solve.  estimate_c_constant
-scans the columns of any operator's inverse and serves as their oracle.
+form from the same basis: laplacian_c_constant for the inverse Laplacian,
+heat_c_constant for the heat solve.  estimate_c_constant scans the columns
+of any operator's inverse and serves as their oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from gcg.core import ControlField
+
+# Slices per block in the heat sweep's basis changes and residual checks.
+_SLICE_BLOCK = 64
+
+
+class ResidualCheckError(RuntimeError):
+    """A linear solve or heat step missed its a-posteriori residual bound."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ class DiscreteOperator:
         y = self._factor.solve(rhs)
         resid = np.linalg.norm(self.matrix @ y - rhs, axis=0)
         if np.any(resid > 1e-12 * np.maximum(rhs_norm, 1e-300)):
-            raise RuntimeError("linear solve failed the residual check")
+            raise ResidualCheckError("linear solve failed the residual check")
         return y
 
 
@@ -171,6 +183,27 @@ def smallest_laplacian_eigenvalue(grid: Grid) -> float:
     return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
 
 
+def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Sines sin(pi h j k), j, k = 1..n, and the 1D stencil eigenvalues mu.
+
+    sqrt(2h) times the sines is the orthonormal DST-I matrix S: symmetric,
+    its own inverse, and S T S = diag(mu) for the 1D stencil T.  In 2D the
+    mode (p, q) of S Y S has eigenvalue mu_p + mu_q.  Callers scale the
+    sines themselves, so each keeps its own rounding of S or S o S.
+    """
+    h = grid.h
+    k = np.arange(1, grid.n + 1)
+    sines = np.sin(math.pi * h * np.outer(k, k))
+    # mu = 4 sin(x)**2 / h**2 with x = pi h k / 2.  From the middle mode
+    # up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of cancellation and
+    # exact at x = pi/4, the only mode of Grid(1, dim).
+    t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
+    mu = np.where(
+        t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
+    ) / h**2
+    return sines, mu
+
+
 class HeatOperator:
     """Implicit Euler stepping for d/dt y + a * (Laplacian stencil) y = u.
 
@@ -178,6 +211,12 @@ class HeatOperator:
     Adjoint:  (I + tau a A) p_m = p_{m+1} + tau w_m,  p_{nt+1} = 0, backward.
     The adjoint is the exact transpose of the forward map with respect to
     the space-time inner product sum_m tau (x_m, z_m)_h.
+
+    A sweep maps every slice to the orthonormal sine basis, where each step
+    is the per-mode recursion z = (z + tau u_m) / (1 + tau a lambda), and
+    maps back.  Every step is then checked against step_matrix, the
+    assembled I + tau a A, and a slice whose relative residual exceeds
+    1e-12 raises ResidualCheckError.
     """
 
     def __init__(self, grid: SpaceTimeGrid, conductivity: float):
@@ -185,25 +224,78 @@ class HeatOperator:
             raise ValueError("conductivity must be positive")
         self.grid = grid
         self.conductivity = conductivity
-        a_matrix = assemble_laplacian(grid.space).matrix
+        space = grid.space
+        a_matrix = assemble_laplacian(space).matrix
         eye = sparse.identity(a_matrix.shape[0], format="csc")
-        self.step_op = DiscreteOperator(eye + grid.tau * conductivity * a_matrix)
+        self.step_matrix = eye + grid.tau * conductivity * a_matrix
+        sines, mu = _sine_basis(space)
+        self._basis = math.sqrt(2.0 * space.h) * sines
+        lam = mu if space.dim == 1 else (mu[:, None] + mu[None, :]).ravel()
+        self._decay = 1.0 + grid.tau * conductivity * lam
 
     def forward(self, u_slices: np.ndarray) -> np.ndarray:
-        return self._sweep(u_slices, range(u_slices.shape[0]))
+        return self._sweep(u_slices, backward=False)
 
     def adjoint(self, w_slices: np.ndarray) -> np.ndarray:
-        return self._sweep(w_slices, reversed(range(w_slices.shape[0])))
+        return self._sweep(w_slices, backward=True)
 
-    def _sweep(self, slices: np.ndarray, order) -> np.ndarray:
-        """Take one implicit Euler step per slice, visiting them in order."""
-        tau = self.grid.tau
-        out = np.empty_like(slices)
-        state = np.zeros(slices.shape[1])
-        for m in order:
-            state = self.step_op.solve(state + tau * slices[m])
-            out[m] = state
-        return out
+    def _sweep(self, slices: np.ndarray, backward: bool) -> np.ndarray:
+        """Take one implicit Euler step per slice, last slice first if backward."""
+        nt = slices.shape[0]
+        modes = np.empty(slices.shape)
+        self._change_basis(slices, modes)
+        modes *= self.grid.tau
+        order = range(nt - 1, -1, -1) if backward else range(nt)
+        modes[order[0]] /= self._decay
+        for prev, m in zip(order, order[1:]):
+            modes[m] += modes[prev]
+            modes[m] /= self._decay
+        self._change_basis(modes, modes)
+        self._check_steps(slices, modes, backward)
+        return modes
+
+    def _change_basis(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write S x_m (1D) or S X_m S (2D) of every slice to out; out may be x.
+
+        S is its own inverse, so the same map takes modes back to nodes.
+        """
+        s = self._basis
+        n = s.shape[0]
+        for b0 in range(0, x.shape[0], _SLICE_BLOCK):
+            block = x[b0 : b0 + _SLICE_BLOCK]
+            if self.grid.space.dim == 1:
+                out[b0 : b0 + _SLICE_BLOCK] = block @ s
+            else:
+                np.matmul(
+                    s,
+                    block.reshape(-1, n, n) @ s,
+                    out=out[b0 : b0 + _SLICE_BLOCK].reshape(-1, n, n),
+                )
+
+    def _check_steps(
+        self, forcing: np.ndarray, states: np.ndarray, backward: bool
+    ) -> None:
+        """Residual of (I + tau a A) y_m = y_prev + tau u_m for every slice."""
+        nt = states.shape[0]
+        for b0 in range(0, nt, _SLICE_BLOCK):
+            b1 = min(b0 + _SLICE_BLOCK, nt)
+            rhs = self.grid.tau * forcing[b0:b1]
+            if backward:
+                prev = states[b0 + 1 : b1 + 1]
+                rhs[: prev.shape[0]] += prev
+            else:
+                prev = states[max(b0 - 1, 0) : b1 - 1]
+                rhs[rhs.shape[0] - prev.shape[0] :] += prev
+            lhs = (self.step_matrix @ states[b0:b1].T).T
+            resid = np.linalg.norm(lhs - rhs, axis=1)
+            rhs_norm = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+            bad = np.flatnonzero(resid > 1e-12 * rhs_norm)
+            if bad.size:
+                i = bad[0]
+                raise ResidualCheckError(
+                    f"heat step {b0 + i} failed the residual check "
+                    f"(relative residual {resid[i] / rhs_norm[i]:.1e})"
+                )
 
 
 def l1_norm(u: ControlField) -> float:
@@ -264,15 +356,8 @@ def laplacian_c_constant(grid: Grid) -> float:
     (S o S) Lambda**-2 (S o S)^T with o the entrywise product.
     """
     h = grid.h
-    k = np.arange(1, grid.n + 1)
-    s2 = 2.0 * h * np.sin(math.pi * h * np.outer(k, k)) ** 2
-    # 1D stencil eigenvalues 4 sin(x)**2 / h**2 with x = pi h k / 2.  From
-    # the middle mode up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of
-    # cancellation and exact at x = pi/4, the only mode of Grid(1, dim).
-    t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
-    mu = np.where(
-        t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
-    ) / h**2
+    sines, mu = _sine_basis(grid)
+    s2 = 2.0 * h * sines**2
     if grid.dim == 1:
         diag = s2 @ mu**-2.0
     else:

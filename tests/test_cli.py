@@ -204,6 +204,18 @@ def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+def test_failed_residual_check_exits_two(tmp_path, capsys):
+    # tau a |A| is about 6e4 here, so a heat step misses relative residual 1e-12
+    out_dir = tmp_path / "out"
+    argv = ["run", "--problem", "parabolic-ex-1d", "--n", "300", "--nt", "4"]
+    assert run_cli(argv + ["--max-iter", "5", "--out-dir", out_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gcg: numerical failure: ")
+    assert "residual check" in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the directory should go\n")

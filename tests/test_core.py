@@ -83,6 +83,29 @@ def test_pairing_is_mass_weighted():
     assert pairing(a, b) == 0.5 * 3.0 - 2.0 * 2.0
 
 
+def test_derived_fields_share_mass_and_check_values():
+    mass = np.array([0.5, 2.0, 1.5])
+    u = ControlField(np.array([1.0, -2.0, 0.25]), mass, meta="grid")
+    v = ControlField(np.array([0.0, 4.0, -1.0]), mass.copy())
+    for w, expected in (
+        (u.with_values([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0]),
+        (u.blend(v, 0.25), u.values + 0.25 * (v.values - u.values)),
+        (u.diff(v), u.values - v.values),
+    ):
+        assert w.mass is u.mass and w.meta == "grid"
+        assert w.values.dtype == float
+        np.testing.assert_array_equal(w.values, expected)
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            u.with_values(np.array(bad))
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        u.blend(v, 1e308)  # overflows to inf
+    # public construction still checks the mass
+    for bad_mass in ([0.5, 0.0, 1.0], [0.5, np.nan, 1.0], [0.5, 1.0]):
+        with pytest.raises(ValueError):
+            ControlField(np.zeros(3), np.array(bad_mass))
+
+
 def test_dual_gap_identity_case():
     u = field(0.3)
     grad = field(1.7)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gcg.core import ControlField, pairing
 from gcg.pde import (
+    _SLICE_BLOCK,
     DiscreteOperator,
     Grid,
     HeatOperator,
+    ResidualCheckError,
     SpaceTimeGrid,
     assemble_laplacian,
     estimate_c_constant,
@@ -191,6 +194,65 @@ def test_heat_adjoint_is_transpose():
             rhs = pairing(u, grid.field(heat.adjoint(grid.as_slices(w.values))))
             scale = l2_norm(u) * l2_norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def replay_heat_steps(grid, a, slices, backward):
+    """The step recursion through DiscreteOperator(I + tau a A).solve."""
+    amat = assemble_laplacian(grid.space).matrix
+    step = DiscreteOperator(sparse.identity(amat.shape[0]) + grid.tau * a * amat)
+    order = range(grid.nt - 1, -1, -1) if backward else range(grid.nt)
+    out = np.empty_like(slices)
+    state = np.zeros(slices.shape[1])
+    for m in order:
+        state = step.solve(state + grid.tau * slices[m])
+        out[m] = state
+    return out
+
+
+@pytest.mark.parametrize("nt", [1, 3, 2 * _SLICE_BLOCK + 2])
+@pytest.mark.parametrize(
+    "space", [Grid(1, 2), Grid(5, 2), Grid(7, 1)], ids=["1x1", "5x5", "7"]
+)
+def test_heat_sweep_matches_sparse_step_solves(space, nt):
+    # the sine-basis sweep against the step-by-step solves it replaced
+    grid = SpaceTimeGrid(space, nt=nt, horizon=1.1)
+    a = 0.7
+    heat = HeatOperator(grid, a)
+    rng = np.random.default_rng(nt + 10 * space.n)
+    slices = rng.standard_normal((nt, space.n_nodes))
+    for backward, sweep in ((False, heat.forward), (True, heat.adjoint)):
+        got = sweep(slices)
+        want = replay_heat_steps(grid, a, slices, backward)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize(
+    "m", [0, _SLICE_BLOCK - 1, _SLICE_BLOCK, 2 * _SLICE_BLOCK + 1],
+    ids=["first", "block_end", "block_start", "last"],
+)
+def test_heat_check_catches_a_perturbed_step(backward, m):
+    grid = SpaceTimeGrid(Grid(4, 2), nt=2 * _SLICE_BLOCK + 2, horizon=1.0)
+    heat = HeatOperator(grid, 0.7)
+    rng = np.random.default_rng(3)
+    forcing = rng.standard_normal((grid.nt, grid.space.n_nodes))
+    states = heat.adjoint(forcing) if backward else heat.forward(forcing)
+    heat._check_steps(forcing, states, backward)  # the sweep itself passes
+    states[m, 5] *= 1.0 + 1e-9
+    with pytest.raises(ResidualCheckError, match="residual check"):
+        heat._check_steps(forcing, states, backward)
+
+
+def test_sparse_solve_check_raises_named_error():
+    class OffByOnePercent:
+        def solve(self, rhs):
+            return 1.01 * np.linalg.solve(op.matrix.toarray(), rhs)
+
+    op = assemble_laplacian(Grid(3, 1))
+    op._factor = OffByOnePercent()
+    with pytest.raises(ResidualCheckError, match="residual check"):
+        op.solve(np.ones(3))
 
 
 def test_heat_reaches_steady_state():
