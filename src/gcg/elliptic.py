@@ -21,22 +21,19 @@ from typing import Callable
 import numpy as np
 
 from gcg.core import ControlField
-from gcg.pde import (
-    DiscreteOperator,
-    Grid,
-    assemble_laplacian,
-    l1_norm,
-    laplacian_c_constant,
-)
+from gcg.pde import Grid, PoissonSolver, l1_norm, laplacian_c_constant
 from gcg.tracking import TrackingProblem
 
 
 @dataclass(eq=False)
 class EllipticProblem(TrackingProblem):
-    """One tracking instance: grid, operator, penalty weight, bounds, target."""
+    """One tracking instance: grid, penalty weight, bounds, target.
+
+    K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
+    applies it in the stencil's sine basis.
+    """
 
     grid: Grid
-    operator: DiscreteOperator
     reg_beta: float
     lower: ControlField
     upper: ControlField
@@ -59,8 +56,12 @@ class EllipticProblem(TrackingProblem):
             float(np.max(np.abs(self.upper.values))),
         )
 
+    @cached_property
+    def _poisson(self) -> PoissonSolver:
+        return PoissonSolver(self.grid)
+
     def solve_state(self, values: np.ndarray) -> np.ndarray:
-        return self.operator.solve(values)
+        return self._poisson.solve(values)
 
     solve_adjoint = solve_state  # the stencil is symmetric, so S* = S = K
 
@@ -105,13 +106,9 @@ class EllipticProblem(TrackingProblem):
         """Gradient Lipschitz bound c**2, c the l2-by-l1 bound of K.
 
         c comes in closed form from the sine eigenbasis of the grid's
-        stencil (pde.laplacian_c_constant), so an operator with any other
-        entries raises ValueError; pde.estimate_c_constant is its oracle.
+        stencil (pde.laplacian_c_constant); pde.estimate_c_constant is its
+        oracle.
         """
-        stencil = assemble_laplacian(self.grid).matrix
-        matrix = self.operator.matrix
-        if matrix.shape != stencil.shape or (matrix != stencil).nnz:
-            raise ValueError("the closed-form bound needs the grid's own stencil")
         c = laplacian_c_constant(self.grid)
         return c * c
 
@@ -206,12 +203,10 @@ def make_example(name: str, n: int) -> EllipticProblem:
     target as target = y_d - K h.
     """
     grid = Grid(n, 2)
-    op = assemble_laplacian(grid)
     lower, upper, y_d, source, beta = _example_fields(name, grid)
-    target = y_d if source is None else y_d - op.solve(source)
+    target = y_d if source is None else y_d - PoissonSolver(grid).solve(source)
     return EllipticProblem(
         grid=grid,
-        operator=op,
         reg_beta=beta,
         lower=grid.field(lower),
         upper=grid.field(upper),

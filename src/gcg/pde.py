@@ -9,14 +9,17 @@ Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
 The orthonormal sine basis diagonalises the stencil, and with it every
-implicit Euler step.  HeatOperator sweeps mode by mode in that basis and
-then checks every step against the assembled stencil; elliptic solves go
-through a sparse LU factorization.  Either check raises ResidualCheckError
-when a step or solve misses relative residual 1e-12.
+implicit Euler step.  PoissonSolver divides by the stencil eigenvalues in
+that basis and HeatOperator sweeps mode by mode in it.  check_residual then
+checks every solve and step against the assembled matrix M in backward-error
+form, |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf), and raises
+ResidualCheckError on a miss.
 The l2-by-l1 response constants of both solution operators come in closed
 form from the same basis: laplacian_c_constant for the inverse Laplacian,
-heat_c_constant for the heat solve.  estimate_c_constant scans the columns
-of any operator's inverse and serves as their oracle.
+heat_c_constant for the heat solve.  DiscreteOperator, a sparse LU solve
+under the same check, is the reference the sine-basis solves are tested
+against; estimate_c_constant scans the columns of its inverse and serves
+as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from gcg.core import ControlField
 
 # Slices per block in the heat sweep's basis changes and residual checks.
 _SLICE_BLOCK = 64
+
+# Backward-error bound of every checked solve: 64 eps.
+_BACKWARD_TOL = 64 * np.finfo(float).eps
 
 
 class ResidualCheckError(RuntimeError):
@@ -125,11 +131,40 @@ class SpaceTimeGrid:
         return self.field(np.zeros(self.n_nodes))
 
 
+def check_residual(matrix, matrix_norm, y, rhs, label="linear solve", first=0):
+    """Raise ResidualCheckError unless every column of y solves matrix @ y = rhs.
+
+    A column passes when |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf),
+    a backward error that a stable solve meets whatever the condition of M;
+    matrix_norm is |M|_inf, computed once per operator.  y and rhs hold one
+    vector or one per column.  The message names the first failed column
+    label.format(first + i).
+    """
+    y = y.reshape(y.shape[0], -1)
+    rhs = rhs.reshape(rhs.shape[0], -1)
+    resid = np.abs(matrix @ y - rhs).max(axis=0)
+    scale = matrix_norm * np.abs(y).max(axis=0) + np.abs(rhs).max(axis=0)
+    bad = np.flatnonzero(~(resid <= _BACKWARD_TOL * scale))
+    if bad.size:
+        i = bad[0]
+        raise ResidualCheckError(
+            f"{label.format(first + i)} failed the residual check "
+            f"(backward error {resid[i] / scale[i]:.1e})"
+        )
+
+
+def _inf_norm(matrix) -> float:
+    """Largest absolute row sum of a sparse matrix."""
+    return float(abs(matrix).sum(axis=1).max())
+
+
 class DiscreteOperator:
-    """Sparse SPD operator with a cached direct factorization.
+    """Sparse operator with a cached direct factorization.
 
     Solves go through an LU factorization computed at the first solve and
-    are checked a posteriori against a relative residual bound.
+    are checked a posteriori by check_residual.  No run solves with it: it
+    is the reference the sine-basis solves and the closed forms are
+    tested against.
     """
 
     def __init__(self, matrix):
@@ -137,6 +172,7 @@ class DiscreteOperator:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
+        self._norm = _inf_norm(matrix)
         self._factor = None
 
     @property
@@ -144,20 +180,26 @@ class DiscreteOperator:
         return self.matrix.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve op @ y = rhs to relative residual <= 1e-12."""
+        """Solve op @ y = rhs for one vector or one per column."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.size:
             raise ValueError("right hand side has the wrong length")
-        rhs_norm = np.linalg.norm(rhs, axis=0)
-        if np.all(rhs_norm == 0.0):
-            return np.zeros_like(rhs)
         if self._factor is None:
             self._factor = splu(self.matrix)
         y = self._factor.solve(rhs)
-        resid = np.linalg.norm(self.matrix @ y - rhs, axis=0)
-        if np.any(resid > 1e-12 * np.maximum(rhs_norm, 1e-300)):
-            raise ResidualCheckError("linear solve failed the residual check")
+        check_residual(self.matrix, self._norm, y, rhs)
         return y
+
+
+def _stencil(grid: Grid):
+    """The Dirichlet Laplacian stencil as a sparse matrix (see assemble_laplacian)."""
+    main = np.full(grid.n, 2.0)
+    off = np.full(grid.n - 1, -1.0)
+    t = sparse.diags([off, main, off], [-1, 0, 1], format="csr") / grid.h**2
+    if grid.dim == 1:
+        return t
+    eye = sparse.identity(grid.n, format="csr")
+    return sparse.kron(eye, t) + sparse.kron(t, eye)
 
 
 def assemble_laplacian(grid: Grid) -> DiscreteOperator:
@@ -168,13 +210,7 @@ def assemble_laplacian(grid: Grid) -> DiscreteOperator:
     positive definite with eigenvalues
     (4/h**2) * sum_d sin(i_d pi h / 2)**2 over the active directions.
     """
-    main = np.full(grid.n, 2.0)
-    off = np.full(grid.n - 1, -1.0)
-    t = sparse.diags([off, main, off], [-1, 0, 1], format="csr") / grid.h**2
-    if grid.dim == 1:
-        return DiscreteOperator(t)
-    eye = sparse.identity(grid.n, format="csr")
-    return DiscreteOperator(sparse.kron(eye, t) + sparse.kron(t, eye))
+    return DiscreteOperator(_stencil(grid))
 
 
 def smallest_laplacian_eigenvalue(grid: Grid) -> float:
@@ -183,25 +219,75 @@ def smallest_laplacian_eigenvalue(grid: Grid) -> float:
     return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
 
 
-def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Sines sin(pi h j k), j, k = 1..n, and the 1D stencil eigenvalues mu.
+class _SineBasis:
+    """The orthonormal sine basis that diagonalises the stencil of one grid.
 
-    sqrt(2h) times the sines is the orthonormal DST-I matrix S: symmetric,
-    its own inverse, and S T S = diag(mu) for the 1D stencil T.  In 2D the
-    mode (p, q) of S Y S has eigenvalue mu_p + mu_q.  Callers scale the
-    sines themselves, so each keeps its own rounding of S or S o S.
+    sines are sin(pi h j k), j, k = 1..n, and mu the 1D stencil eigenvalues.
+    matrix = sqrt(2h) sines is the orthonormal DST-I matrix S: symmetric,
+    its own inverse, and S T S = diag(mu) for the 1D stencil T.
+    eigenvalues are the stencil's, flattened like the nodes: the mode (p, q)
+    of S Y S in 2D has mu_p + mu_q.  laplacian_c_constant scales the sines
+    itself, so it keeps its own rounding of S o S.
     """
-    h = grid.h
-    k = np.arange(1, grid.n + 1)
-    sines = np.sin(math.pi * h * np.outer(k, k))
-    # mu = 4 sin(x)**2 / h**2 with x = pi h k / 2.  From the middle mode
-    # up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of cancellation and
-    # exact at x = pi/4, the only mode of Grid(1, dim).
-    t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
-    mu = np.where(
-        t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
-    ) / h**2
-    return sines, mu
+
+    def __init__(self, grid: Grid):
+        h = grid.h
+        k = np.arange(1, grid.n + 1)
+        self.sines = np.sin(math.pi * h * np.outer(k, k))
+        # mu = 4 sin(x)**2 / h**2 with x = pi h k / 2.  From the middle mode
+        # up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of cancellation and
+        # exact at x = pi/4, the only mode of Grid(1, dim).
+        t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
+        mu = self.mu = np.where(
+            t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
+        ) / h**2
+        self.dim = grid.dim
+        self.matrix = math.sqrt(2.0 * h) * self.sines
+        self.eigenvalues = mu if grid.dim == 1 else (mu[:, None] + mu[None, :]).ravel()
+
+    def change(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write S x_m (1D) or S X_m S (2D) of every row to out; out may be x.
+
+        S is its own inverse, so the same map takes modes back to nodes.
+        Rows go through in blocks of _SLICE_BLOCK.
+        """
+        s = self.matrix
+        n = s.shape[0]
+        for b0 in range(0, x.shape[0], _SLICE_BLOCK):
+            block = x[b0 : b0 + _SLICE_BLOCK]
+            if self.dim == 1:
+                out[b0 : b0 + _SLICE_BLOCK] = block @ s
+            else:
+                np.matmul(
+                    s,
+                    block.reshape(-1, n, n) @ s,
+                    out=out[b0 : b0 + _SLICE_BLOCK].reshape(-1, n, n),
+                )
+
+
+class PoissonSolver:
+    """Solves A y = r for the Dirichlet stencil A of one grid.
+
+    y = S Lambda**-1 S r in the stencil's orthonormal sine basis S, then
+    checked against the assembled stencil by check_residual.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.stencil = _stencil(grid)
+        self._norm = _inf_norm(self.stencil)
+        self._basis = _SineBasis(grid)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.grid.n_nodes,):
+            raise ValueError("right hand side has the wrong length")
+        y = np.empty((1, rhs.size))
+        self._basis.change(rhs[None], y)
+        y /= self._basis.eigenvalues
+        self._basis.change(y, y)
+        check_residual(self.stencil, self._norm, y[0], rhs)
+        return y[0]
 
 
 class HeatOperator:
@@ -214,9 +300,8 @@ class HeatOperator:
 
     A sweep maps every slice to the orthonormal sine basis, where each step
     is the per-mode recursion z = (z + tau u_m) / (1 + tau a lambda), and
-    maps back.  Every step is then checked against step_matrix, the
-    assembled I + tau a A, and a slice whose relative residual exceeds
-    1e-12 raises ResidualCheckError.
+    maps back.  check_residual then checks every step against step_matrix,
+    the assembled I + tau a A.
     """
 
     def __init__(self, grid: SpaceTimeGrid, conductivity: float):
@@ -225,13 +310,11 @@ class HeatOperator:
         self.grid = grid
         self.conductivity = conductivity
         space = grid.space
-        a_matrix = assemble_laplacian(space).matrix
-        eye = sparse.identity(a_matrix.shape[0], format="csc")
-        self.step_matrix = eye + grid.tau * conductivity * a_matrix
-        sines, mu = _sine_basis(space)
-        self._basis = math.sqrt(2.0 * space.h) * sines
-        lam = mu if space.dim == 1 else (mu[:, None] + mu[None, :]).ravel()
-        self._decay = 1.0 + grid.tau * conductivity * lam
+        eye = sparse.identity(space.n_nodes, format="csr")
+        self.step_matrix = eye + grid.tau * conductivity * _stencil(space)
+        self._step_norm = _inf_norm(self.step_matrix)
+        self._basis = _SineBasis(space)
+        self._decay = 1.0 + grid.tau * conductivity * self._basis.eigenvalues
 
     def forward(self, u_slices: np.ndarray) -> np.ndarray:
         return self._sweep(u_slices, backward=False)
@@ -243,34 +326,16 @@ class HeatOperator:
         """Take one implicit Euler step per slice, last slice first if backward."""
         nt = slices.shape[0]
         modes = np.empty(slices.shape)
-        self._change_basis(slices, modes)
+        self._basis.change(slices, modes)
         modes *= self.grid.tau
         order = range(nt - 1, -1, -1) if backward else range(nt)
         modes[order[0]] /= self._decay
         for prev, m in zip(order, order[1:]):
             modes[m] += modes[prev]
             modes[m] /= self._decay
-        self._change_basis(modes, modes)
+        self._basis.change(modes, modes)
         self._check_steps(slices, modes, backward)
         return modes
-
-    def _change_basis(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write S x_m (1D) or S X_m S (2D) of every slice to out; out may be x.
-
-        S is its own inverse, so the same map takes modes back to nodes.
-        """
-        s = self._basis
-        n = s.shape[0]
-        for b0 in range(0, x.shape[0], _SLICE_BLOCK):
-            block = x[b0 : b0 + _SLICE_BLOCK]
-            if self.grid.space.dim == 1:
-                out[b0 : b0 + _SLICE_BLOCK] = block @ s
-            else:
-                np.matmul(
-                    s,
-                    block.reshape(-1, n, n) @ s,
-                    out=out[b0 : b0 + _SLICE_BLOCK].reshape(-1, n, n),
-                )
 
     def _check_steps(
         self, forcing: np.ndarray, states: np.ndarray, backward: bool
@@ -286,16 +351,8 @@ class HeatOperator:
             else:
                 prev = states[max(b0 - 1, 0) : b1 - 1]
                 rhs[rhs.shape[0] - prev.shape[0] :] += prev
-            lhs = (self.step_matrix @ states[b0:b1].T).T
-            resid = np.linalg.norm(lhs - rhs, axis=1)
-            rhs_norm = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-            bad = np.flatnonzero(resid > 1e-12 * rhs_norm)
-            if bad.size:
-                i = bad[0]
-                raise ResidualCheckError(
-                    f"heat step {b0 + i} failed the residual check "
-                    f"(relative residual {resid[i] / rhs_norm[i]:.1e})"
-                )
+            y, r = states[b0:b1].T, rhs.T
+            check_residual(self.step_matrix, self._step_norm, y, r, "heat step {}", b0)
 
 
 def l1_norm(u: ControlField) -> float:
@@ -356,8 +413,8 @@ def laplacian_c_constant(grid: Grid) -> float:
     (S o S) Lambda**-2 (S o S)^T with o the entrywise product.
     """
     h = grid.h
-    sines, mu = _sine_basis(grid)
-    s2 = 2.0 * h * sines**2
+    basis = _SineBasis(grid)
+    mu, s2 = basis.mu, 2.0 * h * basis.sines**2
     if grid.dim == 1:
         diag = s2 @ mu**-2.0
     else:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gcg
-from gcg import elliptic, parabolic
+from gcg import elliptic, parabolic, pde
 from gcg.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 
 FAST = [
@@ -204,8 +204,16 @@ def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
-def test_failed_residual_check_exits_two(tmp_path, capsys):
-    # tau a |A| is about 6e4 here, so a heat step misses relative residual 1e-12
+def test_failed_residual_check_exits_two(tmp_path, capsys, monkeypatch):
+    # a 1e-9 relative change of the largest entry of every sweep is a real
+    # solve error that the backward-error check must catch
+    check_steps = pde.HeatOperator._check_steps
+
+    def perturbed(self, forcing, states, backward):
+        states.flat[np.argmax(np.abs(states))] *= 1.0 + 1e-9
+        check_steps(self, forcing, states, backward)
+
+    monkeypatch.setattr(pde.HeatOperator, "_check_steps", perturbed)
     out_dir = tmp_path / "out"
     argv = ["run", "--problem", "parabolic-ex-1d", "--n", "300", "--nt", "4"]
     assert run_cli(argv + ["--max-iter", "5", "--out-dir", out_dir]) == 2
@@ -214,6 +222,22 @@ def test_failed_residual_check_exits_two(tmp_path, capsys):
     assert "residual check" in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--problem", "parabolic-ex-1d", "--n", "300", "--nt", "4", "--max-iter", "5"],
+        ["--problem", "stadler-ex1", "--n", "255", "--max-iter", "3"],
+    ],
+    ids=["heat-1d-n300", "ex1-n255"],
+)
+def test_ill_conditioned_solves_pass_the_check(tmp_path, argv):
+    # tau a |A| (heat) and |A| / lambda_min (Poisson) are large here, so a
+    # relative residual bound of the size of rounding would reject them
+    out_dir = tmp_path / "out"
+    assert run_cli(["run", *argv, "--out-dir", out_dir]) == 0
+    assert (out_dir / "control.txt").exists()
 
 
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):

@@ -12,9 +12,11 @@ from gcg.pde import (
     DiscreteOperator,
     Grid,
     HeatOperator,
+    PoissonSolver,
     ResidualCheckError,
     SpaceTimeGrid,
     assemble_laplacian,
+    check_residual,
     estimate_c_constant,
     group_l1_time,
     heat_c_constant,
@@ -143,14 +145,45 @@ def test_operator_solver_contract():
 def test_elliptic_solve_is_self_adjoint():
     rng = np.random.default_rng(17)
     for grid in (Grid(9, 1), Grid(6, 2)):
-        op = assemble_laplacian(grid)
+        solver = PoissonSolver(grid)
         for trial in range(10):
             u = grid.field(rng.standard_normal(grid.n_nodes))
             w = grid.field(rng.standard_normal(grid.n_nodes))
-            lhs = pairing(solve_poisson(op, u), w)
-            rhs = pairing(u, solve_poisson(op, w))
+            lhs = pairing(u.with_values(solver.solve(u.values)), w)
+            rhs = pairing(u, w.with_values(solver.solve(w.values)))
             scale = l2_norm(u) * l2_norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+GRIDS = [Grid(1, 1), Grid(7, 1), Grid(1, 2), Grid(5, 2), Grid(64, 2)]
+GRID_IDS = ["1", "7", "1x1", "5x5", "64x64"]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_poisson_solver_matches_sparse_solve(grid):
+    # the sine-basis solve against the sparse LU solve it replaced
+    rng = np.random.default_rng(grid.n + grid.dim)
+    for trial in range(3):
+        rhs = rng.standard_normal(grid.n_nodes)
+        got = PoissonSolver(grid).solve(rhs)
+        want = assemble_laplacian(grid).solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_poisson_check_catches_a_perturbed_solution(grid):
+    solver = PoissonSolver(grid)
+    rhs = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    y = solver.solve(rhs)
+    check_residual(solver.stencil, solver._norm, y, rhs)  # the solve passes
+    y[grid.n_nodes // 2] *= 1.0 + 1e-9
+    with pytest.raises(ResidualCheckError, match="residual check"):
+        check_residual(solver.stencil, solver._norm, y, rhs)
+
+
+def test_poisson_solver_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        PoissonSolver(Grid(3, 1)).solve(np.ones(4))
 
 
 def test_heat_single_node_single_step():
