@@ -36,7 +36,16 @@ import numpy as np
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exhausted its probe budget without sufficient decrease."""
+    """Backtracking stopped without sufficient decrease.
+
+    exponent is the n where the search stopped, the first n it did not
+    test: where the decrease target underflows, or max_backtracks + 1 when
+    a budget ran out first.
+    """
+
+    def __init__(self, message: str, exponent: int):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 class OracleError(RuntimeError):
@@ -136,18 +145,22 @@ class CompositeProblem:
 
 @dataclass(frozen=True)
 class ArmijoParams:
-    """Backtracking parameters: sufficient-decrease fraction and mesh ratio."""
+    """Backtracking parameters: sufficient-decrease fraction and mesh ratio.
+
+    max_backtracks caps the exponent n of a trial step gamma**n.  With the
+    default None only the underflow of the decrease target ends a search.
+    """
 
     alpha: float = 0.5
     gamma: float = 0.99
-    max_backtracks: int = 5000
+    max_backtracks: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 1/2]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.max_backtracks < 1:
+        if self.max_backtracks is not None and self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
 
 
@@ -173,7 +186,9 @@ class IterateRecord:
     """One history row: objective, gap, and the step taken from this iterate.
 
     Terminal rows (gap below tolerance, iteration cap, or failed search) have
-    step 0.0 since no step was taken.  err_u / err_v are dual-norm distances
+    step 0.0 since no step was taken; a failed search records in backtracks
+    the exponent where it stopped (LineSearchError.exponent), the other
+    terminal rows 0.  err_u / err_v are dual-norm distances
     to a reference control and stay None unless error recording is on.
     """
 
@@ -269,11 +284,12 @@ def armijo_step(
 
     An upward scan from n = 0 would stop at the first n where the test
     passes, where the decrease target alpha * gamma**n * gap underflows to
-    0.0, or where n exceeds max_backtracks.  For convex f and g each of the
-    three is monotone in n (see the module docstring), so the search
-    gallops over n = 0, 2, 6, 14, ... until one of them holds and then
-    bisects the bracket down to the first n where one holds: the scan's n,
-    or LineSearchError where the scan raises.  A full step costs one probe.
+    0.0, or where n exceeds max_backtracks if one is set.  For convex f and
+    g each of the three is monotone in n (see the module docstring), so the
+    search gallops over n = 0, 2, 6, 14, ... until one of them holds and
+    then bisects the bracket down to the first n where one holds: the scan's
+    n, or LineSearchError where the scan raises.  A full step costs one
+    probe.
 
     Rounding breaks the monotonicity once the decrease j(u) - j(u + s (v-u))
     falls below the rounding of j(u), about 8 eps |j(u)|: there the test can
@@ -290,7 +306,8 @@ def armijo_step(
     phi = _segment_objective(problem, u, v)
     j0 = phi(0.0) if j_u is None else j_u
     alpha, gamma = params.alpha, params.gamma
-    limit = params.max_backtracks + 1
+    budget = params.max_backtracks
+    limit = math.inf if budget is None else budget + 1
 
     def stops_at(n: int) -> tuple[bool, Optional[float]]:
         """Whether the scan stops at n, and j there when the test passes."""
@@ -329,8 +346,9 @@ def armijo_step(
             lo = mid
     if j_new is None:
         raise LineSearchError(
-            f"no sufficient decrease within {params.max_backtracks} backtracks; "
-            "the gap is at rounding level or an oracle is inconsistent"
+            f"no sufficient decrease before the search stopped at n = {hi}; "
+            "the gap is at rounding level or an oracle is inconsistent",
+            hi,
         )
     return gamma**hi, hi, j_new
 
@@ -382,10 +400,8 @@ def gcg_solve(
                 step, n_back, _ = armijo_step(
                     u, v, gap, problem, config.armijo, j_u=j_u
                 )
-            except LineSearchError:
-                record = IterateRecord(
-                    k, j_u, gap, 0.0, config.armijo.max_backtracks, err_u, err_v
-                )
+            except LineSearchError as exc:
+                record = IterateRecord(k, j_u, gap, 0.0, exc.exponent, err_u, err_v)
                 status = SolveStatus.LINE_SEARCH_FAILED
             else:
                 record = IterateRecord(k, j_u, gap, step, n_back, err_u, err_v)

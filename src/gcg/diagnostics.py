@@ -300,7 +300,8 @@ def run_report(prob, result, alpha: float, gamma: float) -> dict[str, object]:
         ok, violation = check_envelope(residuals, q_env, result.eps_fp)
         report.update(q_env=q_env, envelope_ok=ok, envelope_violation=violation)
     else:
-        report["q_env"] = "n/a (zero initial residual)"
+        # every accepted step lowers j, so r_0 = 0 only when none was taken
+        report["q_env"] = "n/a (no step taken)"
 
     try:
         window = rate_fit_window(residuals, result.eps_fp)

@@ -106,8 +106,8 @@ class EllipticProblem(TrackingProblem):
         """Gradient Lipschitz bound c**2, c the l2-by-l1 bound of K.
 
         c comes in closed form from the sine eigenbasis of the grid's
-        stencil (pde.laplacian_c_constant); pde.estimate_c_constant is its
-        oracle.
+        stencil (pde.laplacian_c_constant); the column scan
+        _sparse_reference.estimate_c_constant is its test oracle.
         """
         c = laplacian_c_constant(self.grid)
         return c * c

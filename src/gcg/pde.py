@@ -11,15 +11,17 @@ product, so discrete adjoint identities hold to rounding.
 The orthonormal sine basis diagonalises the stencil, and with it every
 implicit Euler step.  PoissonSolver divides by the stencil eigenvalues in
 that basis and HeatOperator sweeps mode by mode in it.  check_residual then
-checks every solve and step against the assembled matrix M in backward-error
-form, |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf), and raises
-ResidualCheckError on a miss.
+checks every solve and step in backward-error form,
+|M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf), and raises
+ResidualCheckError on a miss.  M, the stencil or the step I + tau a A, is
+applied matrix-free with array slices, and |M|_inf comes in closed form, so
+this module needs numpy only.
 The l2-by-l1 response constants of both solution operators come in closed
 form from the same basis: laplacian_c_constant for the inverse Laplacian,
-heat_c_constant for the heat solve.  DiscreteOperator, a sparse LU solve
-under the same check, is the reference the sine-basis solves are tested
-against; estimate_c_constant scans the columns of its inverse and serves
-as the oracle of the closed forms.
+heat_c_constant for the heat solve.  The assembled sparse stencil, its LU
+solve DiscreteOperator and the column scan estimate_c_constant live in
+gcg._sparse_reference, which no run imports; the tests check this module
+against them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from gcg.core import ControlField
 
@@ -38,6 +38,22 @@ _SLICE_BLOCK = 64
 
 # Backward-error bound of every checked solve: 64 eps.
 _BACKWARD_TOL = 64 * np.finfo(float).eps
+
+# Values per formatted chunk of a field dump.
+_DUMP_CHUNK = 1 << 16
+
+# Names that moved to gcg._sparse_reference and are still looked up here by
+# the benchmark's tracer (bench/spans.py).
+_FORWARDED = ("DiscreteOperator", "estimate_c_constant", "splu")
+
+
+def __getattr__(name):
+    """Forward the moved sparse-reference names; importing them loads scipy."""
+    if name in _FORWARDED:
+        from gcg import _sparse_reference
+
+        return getattr(_sparse_reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ResidualCheckError(RuntimeError):
@@ -131,19 +147,20 @@ class SpaceTimeGrid:
         return self.field(np.zeros(self.n_nodes))
 
 
-def check_residual(matrix, matrix_norm, y, rhs, label="linear solve", first=0):
-    """Raise ResidualCheckError unless every column of y solves matrix @ y = rhs.
+def check_residual(operator, norm, y, rhs, label="linear solve", first=0):
+    """Raise ResidualCheckError unless every row of y solves M y = rhs.
 
-    A column passes when |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf),
-    a backward error that a stable solve meets whatever the condition of M;
-    matrix_norm is |M|_inf, computed once per operator.  y and rhs hold one
-    vector or one per column.  The message names the first failed column
+    A row passes when |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf),
+    a backward error that a stable solve meets whatever the condition of M.
+    operator gives |M y_i - r_i| of every row by its residual method, and
+    norm is |M|_inf, computed once per operator.  y and rhs hold one vector
+    or one per row.  The message names the first failed row
     label.format(first + i).
     """
-    y = y.reshape(y.shape[0], -1)
-    rhs = rhs.reshape(rhs.shape[0], -1)
-    resid = np.abs(matrix @ y - rhs).max(axis=0)
-    scale = matrix_norm * np.abs(y).max(axis=0) + np.abs(rhs).max(axis=0)
+    y = y.reshape(-1, y.shape[-1])
+    rhs = rhs.reshape(y.shape)
+    resid = operator.residual(y, rhs).max(axis=1)
+    scale = norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
     bad = np.flatnonzero(~(resid <= _BACKWARD_TOL * scale))
     if bad.size:
         i = bad[0]
@@ -153,64 +170,48 @@ def check_residual(matrix, matrix_norm, y, rhs, label="linear solve", first=0):
         )
 
 
-def _inf_norm(matrix) -> float:
-    """Largest absolute row sum of a sparse matrix."""
-    return float(abs(matrix).sum(axis=1).max())
+class _Stencil:
+    """M = shift I + scale A for the Dirichlet stencil A of one grid, matrix-free.
 
-
-class DiscreteOperator:
-    """Sparse operator with a cached direct factorization.
-
-    Solves go through an LU factorization computed at the first solve and
-    are checked a posteriori by check_residual.  No run solves with it: it
-    is the reference the sine-basis solves and the closed forms are
-    tested against.
+    A has the diagonal 2 dim/h**2 and the entry -1/h**2 for each neighbour
+    along an axis (see Grid for the node order).  norm is |M|_inf in closed
+    form: a row has at most min(n - 1, 2) neighbours per direction, and for
+    n <= 2 every row is a boundary row.
     """
 
-    def __init__(self, matrix):
-        matrix = sparse.csc_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.matrix = matrix
-        self._norm = _inf_norm(matrix)
-        self._factor = None
+    def __init__(self, grid: Grid, shift: float = 0.0, scale: float = 1.0):
+        h2 = grid.h**2
+        self._n = grid.n
+        self._strides = (1, grid.n)[: grid.dim]
+        self._coupling = scale / h2
+        self._diagonal = shift + 2 * grid.dim * self._coupling
+        self.norm = shift + scale * ((2 + min(grid.n - 1, 2)) * grid.dim / h2)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """|M y_i - r_i| of every row i of y and rhs, shape (k, n_nodes).
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve op @ y = rhs for one vector or one per column."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.size:
-            raise ValueError("right hand side has the wrong length")
-        if self._factor is None:
-            self._factor = splu(self.matrix)
-        y = self._factor.solve(rhs)
-        check_residual(self.matrix, self._norm, y, rhs)
-        return y
-
-
-def _stencil(grid: Grid):
-    """The Dirichlet Laplacian stencil as a sparse matrix (see assemble_laplacian)."""
-    main = np.full(grid.n, 2.0)
-    off = np.full(grid.n - 1, -1.0)
-    t = sparse.diags([off, main, off], [-1, 0, 1], format="csr") / grid.h**2
-    if grid.dim == 1:
-        return t
-    eye = sparse.identity(grid.n, format="csr")
-    return sparse.kron(eye, t) + sparse.kron(t, eye)
-
-
-def assemble_laplacian(grid: Grid) -> DiscreteOperator:
-    """Dirichlet Laplacian stencil: 3-point in 1D, 5-point in 2D.
-
-    Diagonal entries are 2/h**2 (1D) or 4/h**2 (2D), neighbor entries
-    -1/h**2; boundary nodes are eliminated.  The matrix is symmetric
-    positive definite with eigenvalues
-    (4/h**2) * sum_d sin(i_d pi h / 2)**2 over the active directions.
-    """
-    return DiscreteOperator(_stencil(grid))
+        One scaled copy w = c y and in-place neighbour subtractions on the
+        flattened rows, where the neighbours along an axis of stride s sit s
+        entries apart.  Each line along the axis is followed by the next, so
+        the end of w that a shift would carry into the next line is zeroed
+        for that subtraction and then restored.  Contiguous shifts run much
+        faster than the same subtractions on strided slices.
+        """
+        c, n = self._coupling, self._n
+        y = np.ascontiguousarray(y)
+        w = c * y
+        out = self._diagonal * y
+        w_flat, out_flat = w.reshape(-1), out.reshape(-1)
+        for s in self._strides:
+            lines, y_lines = w.reshape(-1, n, s), y.reshape(-1, n, s)
+            lines[:, -1] = 0.0
+            out_flat[s:] -= w_flat[:-s]
+            np.multiply(c, y_lines[:, -1], out=lines[:, -1])
+            lines[:, 0] = 0.0
+            out_flat[:-s] -= w_flat[s:]
+            np.multiply(c, y_lines[:, 0], out=lines[:, 0])
+        out -= rhs
+        return np.abs(out, out=out)
 
 
 def smallest_laplacian_eigenvalue(grid: Grid) -> float:
@@ -269,13 +270,13 @@ class PoissonSolver:
     """Solves A y = r for the Dirichlet stencil A of one grid.
 
     y = S Lambda**-1 S r in the stencil's orthonormal sine basis S, then
-    checked against the assembled stencil by check_residual.
+    checked against the matrix-free stencil by check_residual.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.stencil = _stencil(grid)
-        self._norm = _inf_norm(self.stencil)
+        self.stencil = _Stencil(grid)
+        self._norm = self.stencil.norm
         self._basis = _SineBasis(grid)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -300,8 +301,8 @@ class HeatOperator:
 
     A sweep maps every slice to the orthonormal sine basis, where each step
     is the per-mode recursion z = (z + tau u_m) / (1 + tau a lambda), and
-    maps back.  check_residual then checks every step against step_matrix,
-    the assembled I + tau a A.
+    maps back.  check_residual then checks every step against step, the
+    matrix-free I + tau a A.
     """
 
     def __init__(self, grid: SpaceTimeGrid, conductivity: float):
@@ -310,9 +311,7 @@ class HeatOperator:
         self.grid = grid
         self.conductivity = conductivity
         space = grid.space
-        eye = sparse.identity(space.n_nodes, format="csr")
-        self.step_matrix = eye + grid.tau * conductivity * _stencil(space)
-        self._step_norm = _inf_norm(self.step_matrix)
+        self.step = _Stencil(space, 1.0, grid.tau * conductivity)
         self._basis = _SineBasis(space)
         self._decay = 1.0 + grid.tau * conductivity * self._basis.eigenvalues
 
@@ -351,8 +350,9 @@ class HeatOperator:
             else:
                 prev = states[max(b0 - 1, 0) : b1 - 1]
                 rhs[rhs.shape[0] - prev.shape[0] :] += prev
-            y, r = states[b0:b1].T, rhs.T
-            check_residual(self.step_matrix, self._step_norm, y, r, "heat step {}", b0)
+            check_residual(
+                self.step, self.step.norm, states[b0:b1], rhs, "heat step {}", b0
+            )
 
 
 def l1_norm(u: ControlField) -> float:
@@ -379,27 +379,6 @@ def group_l1_time(u: ControlField) -> float:
     if not isinstance(grid, SpaceTimeGrid):
         raise ValueError("group norm needs a field on a SpaceTimeGrid")
     return float(grid.tau * slice_l2_norms(u).sum())
-
-
-def estimate_c_constant(op: DiscreteOperator, mass: np.ndarray, chunk: int = 256) -> float:
-    """Largest l2 response of op**-1 over unit-l1 single-node inputs.
-
-    Scans the columns of the inverse: c = max_j |K e_j|_2,mass / mass_j,
-    which bounds |K u|_2 <= c |u|_1 for every u by convexity of the l1 ball.
-    """
-    mass = np.asarray(mass, dtype=float)
-    if mass.shape != (op.size,):
-        raise ValueError("mass weights do not match the operator size")
-    best = 0.0
-    n = op.size
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.zeros((n, stop - start))
-        block[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        cols = op.solve(block)
-        col_norms = np.sqrt(mass @ cols**2)
-        best = max(best, float(np.max(col_norms / mass[start:stop])))
-    return best
 
 
 def laplacian_c_constant(grid: Grid) -> float:
@@ -459,12 +438,16 @@ def write_field(path, u: ControlField) -> None:
     """Write a field as a text dump: field_header, then one value per line.
 
     Values are printed row-major with 17 significant digits, enough to
-    round-trip float64 exactly.
+    round-trip float64 exactly.  They are formatted as Python floats, in
+    chunks of _DUMP_CHUNK values.
     """
     header = field_header(u.meta)
+    values = u.values
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(f"{x:.17g}\n" for x in u.values)
+        for start in range(0, values.size, _DUMP_CHUNK):
+            chunk = values[start : start + _DUMP_CHUNK].tolist()
+            fh.write("".join(["%.17g\n" % x for x in chunk]))
 
 
 def read_field(path) -> ControlField:

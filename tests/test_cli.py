@@ -140,6 +140,26 @@ def test_small_gamma_keeps_stepping(tmp_path, capsys, problem, gamma):
     assert all(float(row.split(",")[3]) > 0.0 for row in rows[:-1])
 
 
+def test_gamma_near_one_runs_without_a_backtrack_budget(tmp_path, capsys):
+    # gamma**5000 is about 0.9995, so a fixed budget of 5000 backtracks
+    # failed the first search; only the underflow stop ends a search now
+    argv = ["run", "--problem", "stadler-ex1", "--n", "8", "--gamma", "0.9999999"]
+    assert run_cli(argv + ["--out-dir", tmp_path]) == 0
+    assert "MaxIterReached after 1000 iterations" in capsys.readouterr().out
+    rows = (tmp_path / "history.csv").read_text().strip().splitlines()[1:]
+    assert all(float(row.split(",")[3]) > 0.0 for row in rows[:-1])
+
+
+def test_run_stopped_at_k0_reports_no_step_taken(tmp_path, capsys):
+    # the initial gap is below the tolerance, so no step is taken and the
+    # initial residual against the final j is 0 because j never moved
+    argv = ["run", "--problem", "stadler-ex1", "--n", "8", "--tol", "1"]
+    assert run_cli(argv + ["--out-dir", tmp_path]) == 0
+    assert "Converged after 0 iterations" in capsys.readouterr().out
+    text = (tmp_path / "diagnostics.txt").read_text()
+    assert "q_env = n/a (no step taken)\n" in text
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_cli(FAST + ["--out-dir", dir_a])
@@ -376,3 +396,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "stadler-ex1" in proc.stdout
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # `gcg run` needs numpy only; scipy is a test and benchmark dependency
+    src_dir = str(Path(gcg.__file__).resolve().parent.parent)
+    argv = [*FAST, "--out-dir", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from gcg.cli import main\n"
+        f"code = main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, loaded)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "control.txt").is_file()

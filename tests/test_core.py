@@ -1,6 +1,7 @@
 """Solver-level tests: gap arithmetic, backtracking, and loop invariants."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -187,7 +188,8 @@ def scan_tests(u, v, gap, problem, params, j_u=None):
     for a reason other than a pass: the target underflows or the budget ends."""
     phi = segment_phi(problem, u, v)
     j0 = phi(0.0) if j_u is None else j_u
-    for n in range(params.max_backtracks + 1):
+    budget = params.max_backtracks
+    for n in itertools.count() if budget is None else range(budget + 1):
         s = params.gamma**n
         target = params.alpha * s * gap
         if target == 0.0:
@@ -198,10 +200,11 @@ def scan_tests(u, v, gap, problem, params, j_u=None):
 
 def scan_armijo_step(u, v, gap, problem, params, j_u=None):
     """Reference: the linear scan over n = 0, 1, 2, ... that armijo_step replaced."""
+    n = -1
     for n, (s, j_s, passed) in enumerate(scan_tests(u, v, gap, problem, params, j_u)):
         if passed:
             return s, n, j_s
-    raise LineSearchError("reference scan exhausted")
+    raise LineSearchError("reference scan exhausted", n + 1)
 
 
 def search_outcome(search, *args, **kwargs):
@@ -239,8 +242,9 @@ def test_armijo_exhaustion_raises():
     # u == v means no descent is possible; an overstated gap must be detected
     prob = scalar_problem(0.0)
     u = field(0.5)
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError) as raised:
         armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=12))
+    assert raised.value.exponent == 13  # the first exponent past the budget
 
 
 def test_armijo_step_underflow_raises():
@@ -251,12 +255,45 @@ def test_armijo_step_underflow_raises():
     probes = []
     prob = counting(scalar_problem(0.0), probes)
     u = field(0.5)
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError) as raised:
         armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=5000))
+    assert raised.value.exponent == 1074
     # the target 0.5 * 0.5**n first underflows at n = 1074; a scan probes
     # every n below that
     assert 0.5 * 0.5**1074 == 0.0 < 0.5 * 0.5**1073
     assert len(probes) <= 2 * math.ceil(math.log2(1075)) + 1
+
+
+def test_default_budget_reaches_short_steps():
+    # with no budget a gamma near 1 still reaches the step 1/2 this segment
+    # needs, at n near 6.9e6, far past any fixed budget of a few thousand
+    assert ArmijoParams().max_backtracks is None
+    gamma = 0.9999999
+    prob, u, v = scalar_problem(0.0), field(1.0), field(-1.0)
+    step, n, _ = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, gamma))
+    assert step == gamma**n and 6_000_000 < n < 8_000_000
+    phi = segment_phi(prob, u, v)
+    assert 0.5 * step * 2.0 <= phi(0.0) - phi(step)
+    assert 0.5 * gamma ** (n - 1) * 2.0 > phi(0.0) - phi(gamma ** (n - 1))
+
+
+def test_failed_search_records_where_it_stopped():
+    # a gradient of the wrong sign overstates the gap, so no step descends
+    # and the search stops where the decrease target first underflows
+    prob = scalar_problem(0.0)
+
+    def wrong_sign(u):
+        f, grad = prob.smooth_eval(u)
+        return f, grad.with_values(-grad.values)
+
+    wrong = dataclasses.replace(prob, smooth_eval=wrong_sign)
+    config = SolverConfig(armijo=ArmijoParams(0.5, 0.5))
+    result = gcg_solve(wrong, field(0.5), config)
+    assert result.status is SolveStatus.LINE_SEARCH_FAILED
+    (record,) = result.history
+    n = record.backtracks
+    assert record.gap == 0.25 and record.step == 0.0
+    assert 0.5 * 0.5**n * record.gap == 0.0 < 0.5 * 0.5 ** (n - 1) * record.gap
 
 
 def test_armijo_matches_scan_on_edge_cases():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gcg._sparse_reference import assemble_laplacian
 from gcg.core import (
     ControlField,
     SolverConfig,
@@ -18,7 +19,7 @@ from gcg.elliptic import (
     EllipticProblem,
     make_example,
 )
-from gcg.pde import Grid, assemble_laplacian, l2_norm
+from gcg.pde import Grid, l2_norm
 
 
 def dense_inverse(grid):

@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from gcg._sparse_reference import (
+    DiscreteOperator,
+    _inf_norm,
+    _stencil,
+    assemble_laplacian,
+    estimate_c_constant,
+)
 from gcg.core import ControlField, pairing
 from gcg.pde import (
+    _DUMP_CHUNK,
     _SLICE_BLOCK,
-    DiscreteOperator,
     Grid,
     HeatOperator,
     PoissonSolver,
     ResidualCheckError,
     SpaceTimeGrid,
-    assemble_laplacian,
+    _Stencil,
     check_residual,
-    estimate_c_constant,
+    field_header,
     group_l1_time,
     heat_c_constant,
     l1_norm,
@@ -179,6 +186,32 @@ def test_poisson_check_catches_a_perturbed_solution(grid):
     y[grid.n_nodes // 2] *= 1.0 + 1e-9
     with pytest.raises(ResidualCheckError, match="residual check"):
         check_residual(solver.stencil, solver._norm, y, rhs)
+
+
+SMALL_GRIDS = [Grid(n, dim) for dim in (1, 2) for n in (1, 2, 3, 5)]
+SMALL_IDS = [f"{g.n}" if g.dim == 1 else f"{g.n}x{g.n}" for g in SMALL_GRIDS]
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=SMALL_IDS)
+def test_matrix_free_stencil_matches_assembled(grid):
+    # the residual of A and of I + tau a A against the assembled matrices,
+    # and the closed-form |M|_inf against their largest row sum; for n <= 2
+    # every row is a boundary row
+    amat = _stencil(grid)
+    tau_a = 0.7 / 500
+    step = sparse.identity(grid.n_nodes) + tau_a * amat
+    rng = np.random.default_rng(grid.n + 10 * grid.dim)
+    y = rng.standard_normal((4, grid.n_nodes))
+    eps = np.finfo(float).eps
+    for free, assembled in ((_Stencil(grid), amat), (_Stencil(grid, 1.0, tau_a), step)):
+        assert free.norm == pytest.approx(_inf_norm(assembled), rel=4 * eps)
+        for rhs in (np.zeros_like(y), rng.standard_normal(y.shape)):
+            kept = y.copy()
+            got = free.residual(y, rhs)
+            np.testing.assert_array_equal(y, kept)
+            want = np.abs((assembled @ y.T).T - rhs)
+            scale = free.norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
+            assert np.all(np.abs(got - want) <= 8 * eps * scale[:, None])
 
 
 def test_poisson_solver_rejects_length_mismatch():
@@ -421,6 +454,26 @@ def test_field_round_trip(tmp_path):
     st = read_field(tmp_path / "field_2.txt").meta
     assert st.nt == 4
     assert st.tau == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("size", [40, _DUMP_CHUNK, _DUMP_CHUNK + 5])
+def test_field_dump_matches_per_value_format(tmp_path, size):
+    # the chunked dump writes the bytes of formatting each value on its own
+    info = np.finfo(float)
+    largest_subnormal = np.nextafter(info.smallest_normal, 0.0)
+    special = [0.0, -0.0, 5e-324, largest_subnormal, 1e308, -1e308, info.max, -info.max]
+    rng = np.random.default_rng(size)
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-17.0, 2.0, size)
+    values[: len(special)] = special
+    values[-len(special) :] = special  # across the chunk boundary when size > chunk
+    grid = Grid(size, 1)
+    path = tmp_path / "field.txt"
+    write_field(path, grid.field(values))
+    want = field_header(grid) + "\n" + "".join(f"{x:.17g}\n" for x in values)
+    assert path.read_bytes() == want.encode()
+    back = read_field(path).values
+    np.testing.assert_array_equal(back, values)
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
 
 
 def test_field_io_rejects_bad_headers(tmp_path):
