@@ -132,6 +132,11 @@ class CompositeProblem:
     part is quadratic use it to turn each backtracking probe into O(n)
     arithmetic instead of a PDE solve; it must agree with direct evaluation
     of f + g up to roundoff.
+
+    step is an optional constructor of the next iterate: step(u, v, s)
+    returns the point u + s (v - u), with the values of u.blend(v, s).  A
+    problem may use it to carry what its line search learned about that
+    point, such as its state, into the next smooth_eval.
     """
 
     smooth_eval: Callable[[ControlField], tuple[float, ControlField]]
@@ -140,6 +145,9 @@ class CompositeProblem:
     dual_norm: Callable[[ControlField], float]
     line_objective: Optional[
         Callable[[ControlField, ControlField], Callable[[float], float]]
+    ] = None
+    step: Optional[
+        Callable[[ControlField, ControlField, float], ControlField]
     ] = None
 
 
@@ -361,9 +369,18 @@ def gcg_solve(
     Each pass evaluates the gradient, calls the LMO, computes the gap of the
     current iterate, and only then decides: stop when the gap is within
     gap_tol (CONVERGED) or the iteration budget is spent (MAX_ITER_REACHED),
-    otherwise backtrack and step.  The history records every iterate
-    including the final gap evaluation, so identical inputs reproduce
-    identical histories bit for bit.
+    otherwise backtrack and step.  Every next iterate comes from
+    problem.step, or from u.blend(v, s) when the problem gives none.
+
+    A problem's step may hand smooth_eval a state carried along the search
+    segments instead of a fresh solve.  So before a pass at such an iterate
+    ends the run, smooth_eval is evaluated once more at a new ControlField
+    with the same values, and the pass is redone from there: the LMO, the
+    gap, the decision and, for a failed search, the search.  The final row,
+    final_gradient and the gap certificate thus always come from a fresh
+    evaluation.  The history records every iterate including the final gap
+    evaluation, so identical inputs reproduce identical histories bit for
+    bit.
     """
     g_u = problem.nonsmooth_eval(u0)
     if not math.isfinite(g_u):
@@ -371,8 +388,10 @@ def gcg_solve(
     f_u, grad = problem.smooth_eval(u0)
     eps_fp = 1e-12 * (abs(f_u + g_u) + 1.0)
     ref = config.record_errors_against
+    advance = ControlField.blend if problem.step is None else problem.step
 
     u = u0
+    fresh = True  # whether f_u and grad were evaluated afresh at u
     mstar = 0.0
     history: list[IterateRecord] = []
     k = 0
@@ -383,36 +402,43 @@ def gcg_solve(
         if not math.isfinite(g_v):
             raise OracleError("lmo returned an infeasible point")
         gap = dual_gap(u, grad, g_u, v, g_v, slack=eps_fp)
-        mstar = max(mstar, problem.dual_norm(u), problem.dual_norm(v))
-        err_u = err_v = None
-        if ref is not None:
-            err_u = problem.dual_norm(u.diff(ref))
-            err_v = problem.dual_norm(v.diff(ref))
 
+        step, n_back = 0.0, 0
         if gap <= config.gap_tol:
-            record = IterateRecord(k, j_u, gap, 0.0, 0, err_u, err_v)
             status = SolveStatus.CONVERGED
         elif k >= config.max_iter:
-            record = IterateRecord(k, j_u, gap, 0.0, 0, err_u, err_v)
             status = SolveStatus.MAX_ITER_REACHED
         else:
             try:
                 step, n_back, _ = armijo_step(
                     u, v, gap, problem, config.armijo, j_u=j_u
                 )
-            except LineSearchError as exc:
-                record = IterateRecord(k, j_u, gap, 0.0, exc.exponent, err_u, err_v)
-                status = SolveStatus.LINE_SEARCH_FAILED
-            else:
-                record = IterateRecord(k, j_u, gap, step, n_back, err_u, err_v)
                 status = None
+            except LineSearchError as exc:
+                n_back = exc.exponent
+                status = SolveStatus.LINE_SEARCH_FAILED
+        if status is not None and not fresh:
+            # a new field with the same values, which no memo of a carried
+            # state can match
+            u = u.with_values(u.values)
+            f_u, grad = problem.smooth_eval(u)
+            fresh = True
+            continue
+
+        mstar = max(mstar, problem.dual_norm(u), problem.dual_norm(v))
+        err_u = err_v = None
+        if ref is not None:
+            err_u = problem.dual_norm(u.diff(ref))
+            err_v = problem.dual_norm(v.diff(ref))
+        record = IterateRecord(k, j_u, gap, step, n_back, err_u, err_v)
         history.append(record)
         if config.callback is not None:
             config.callback(record, u, v)
         if status is not None:
             return SolveResult(u, grad, tuple(history), status, mstar, eps_fp)
 
-        u = u.blend(v, record.step)
+        u = advance(u, v, step)
+        fresh = problem.step is None
         f_u, grad = problem.smooth_eval(u)
         g_u = problem.nonsmooth_eval(u)
         k += 1

@@ -113,18 +113,21 @@ def sublinear_constants(
     return n, max(m_left, m_right)
 
 
-def recursion_oracle_44(q: float, steps: int) -> np.ndarray:
+def recursion_oracle_44(q, steps: int) -> np.ndarray:
     """Extremal sequence of the recursion h_{k+1} = h_k - q h_k^2, h_0 = 1.
 
     The generated sequence is the worst case among all sequences with
     h_{k+1} <= (1 - q h_k) h_k and serves as a test harness for the decay
-    bound h_k <= 1 / (1 + q k).
+    bound h_k <= 1 / (1 + q k).  q may be an array of rates; h then has
+    shape (steps + 1, *q.shape), one sequence per rate, each with the same
+    floats as a scalar call.
     """
-    if not 0.0 < q <= 1.0:
+    q = np.asarray(q, dtype=float)[()]  # a float64 scalar when q is one
+    if not np.all((q > 0.0) & (q <= 1.0)):
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    h = np.empty(steps + 1)
+    h = np.empty((steps + 1, *q.shape))
     h[0] = 1.0
     for k in range(steps):
         h[k + 1] = h[k] - q * h[k] * h[k]
@@ -155,22 +158,23 @@ def recursion_oracle_48(
         raise ValueError("steps must be nonnegative")
     if h0 < 0.0 or not math.isfinite(h0):
         raise ValueError(f"h0 must be nonnegative, got {h0!r}")
-    beta = exponent_beta
+    # scalar Python floats: a numpy array power can round differently
+    delta, C, beta = float(delta), float(C), float(exponent_beta)
     n, M = sublinear_constants(delta, beta, C, h0)
-    h = np.empty(steps + 1)
-    h[0] = h0
-    for k in range(steps):
-        h[k + 1] = max(delta, 1.0 - C * h[k] ** beta) * h[k]
+    h_k = float(h0)
+    h = [h_k]
+    for _ in range(steps):
+        shrink = 1.0 - C * h_k**beta
+        h_k = (shrink if shrink > delta else delta) * h_k
+        h.append(h_k)
+    inv_beta = 1.0 / beta
     violation = None
-    for k in range(steps + 1):
+    for k, h_k in enumerate(h):
         shifted = k + n
-        if shifted <= 0.0:
+        if shifted <= 0.0 or h_k > M / shifted**inv_beta:
             violation = k
             break
-        if h[k] > M / shifted ** (1.0 / beta):
-            violation = k
-            break
-    return h, violation
+    return np.array(h), violation
 
 
 def rate_fit_window(

@@ -48,7 +48,7 @@ class EllipticProblem(TrackingProblem):
         if not (self.lower.size == self.upper.size == self.target.size == n):
             raise ValueError("bounds and target must live on the problem grid")
 
-    @property
+    @cached_property
     def bound_scale(self) -> float:
         return max(
             1.0,

@@ -6,8 +6,10 @@ Both instances minimize  f(u) + g(u)  with the same smooth part
 
 for a linear control-to-state map S.  Its gradient is the adjoint state
 p = S* (S u - target), and along a segment u + s (v - u) it is the exact
-quadratic f0 + s f1 + s**2 f2 / 2, so one more solve for S (v - u) prices
-every backtracking probe without further PDE work.
+quadratic f0 + s f1 + s**2 f2 / 2, so one more solve for dy = S (v - u)
+prices every backtracking probe without further PDE work.  The accepted
+point's state is then S u + s dy, so the next gradient needs only the
+adjoint solve: two PDE solves per iteration.
 
 TrackingProblem implements f, its gradient, the segment objective and the
 solver bundle once.  An instance class mixes it in and supplies:
@@ -37,11 +39,20 @@ class TrackingProblem:
 
     The memo is keyed on the identity of the ControlField, so a line search
     that follows a gradient evaluation at the same iterate reuses its
-    state, with the same floats.  It assumes that no field's values are
-    changed in place; the solver makes every iterate a new ControlField.
+    state, with the same floats.  line_objective keeps the segment it
+    priced, and step seeds the memo of the accepted point with the state
+    y_u + s dy carried from it, so the state is solved afresh only for a
+    field no step made.  Carried states drift from a fresh solve by
+    rounding; gcg_solve evaluates at a new field before it stops.  The
+    memo assumes that no field's values are changed in place; the solver
+    makes every iterate a new ControlField.
     """
 
     _memo: Optional[tuple[ControlField, np.ndarray]] = None
+    # (u, v, S u, S (v - u)) of the last segment line_objective priced
+    _segment: Optional[
+        tuple[ControlField, ControlField, np.ndarray, np.ndarray]
+    ] = None
 
     def _state_at(self, u: ControlField) -> np.ndarray:
         if self._memo is not None and self._memo[0] is u:
@@ -70,8 +81,11 @@ class TrackingProblem:
         convexity and is not rechecked.
         """
         du = v.values - u.values
-        resid = self._state_at(u) - self.target.values
+        self._segment = None  # release the old difference before solving
+        y_u = self._state_at(u)
+        resid = y_u - self.target.values
         dy = self.solve_state(du)
+        self._segment = (u, v, y_u, dy)
         mass = u.mass
         f0 = 0.5 * float(np.dot(mass, resid**2))
         f1 = float(np.dot(mass, resid * dy))
@@ -83,6 +97,22 @@ class TrackingProblem:
 
         return phi
 
+    def step(self, u: ControlField, v: ControlField, s: float) -> ControlField:
+        """The point u + s (v - u), with its state when the segment was priced.
+
+        When (u, v) is, by identity, the pair of the last line_objective
+        call, the memo takes the state S u + s S (v - u) and the segment is
+        released; otherwise the point is a plain blend.
+        """
+        w = u.blend(v, s)
+        segment, self._segment = self._segment, None
+        if segment is not None and segment[0] is u and segment[1] is v:
+            _, _, y_u, dy = segment
+            dy *= s  # dy is ours alone, so the sum y_u + s dy reuses it
+            dy += y_u
+            self._memo = (w, dy)
+        return w
+
     def composite(self) -> CompositeProblem:
         return CompositeProblem(
             smooth_eval=self.f_and_grad,
@@ -90,4 +120,5 @@ class TrackingProblem:
             lmo=self.lmo,
             dual_norm=self.dual_norm,
             line_objective=self.line_objective,
+            step=self.step,
         )

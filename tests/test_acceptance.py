@@ -333,19 +333,24 @@ def test_criterion_09_growth_exponent(elliptic_run, parabolic_run):
 
 def test_criterion_10_recursion_property_suites():
     rng = np.random.default_rng(109)
-    ok = True
 
-    for trial in range(10000):
-        q = float(rng.uniform(1e-3, 1.0))
-        h = diag.recursion_oracle_44(q, 150)
-        bound = 1.0 / (1.0 + q * np.arange(151))
-        ok = ok and bool(np.all(h <= bound + 1e-14))
+    # all 10000 draws at once: one sequence per column, with the floats of
+    # 10000 scalar calls
+    q = rng.uniform(1e-3, 1.0, 10000)
+    h = diag.recursion_oracle_44(q, 150)
+    bound = 1.0 / (1.0 + np.arange(151)[:, None] * q)
+    ok = bool(np.all(h <= bound + 1e-14))
 
-    for trial in range(10000):
-        delta = float(rng.uniform(0.5, 0.95))
-        beta = float(rng.uniform(0.05, 0.95))
-        c_max = (1.0 - delta) * 0.99
-        c = float(rng.uniform(0.01 * c_max, c_max))
+    # 10000 trials of uniform(0.5, 0.95), uniform(0.05, 0.95) and
+    # uniform(0.01 c_max, c_max) in turn, drawn at once: uniform(a, b) is
+    # a + (b - a) * random(), so these are the floats of 30000 scalar draws
+    u = rng.random((10000, 3))
+    deltas = 0.5 + (0.95 - 0.5) * u[:, 0]
+    betas = 0.05 + (0.95 - 0.05) * u[:, 1]
+    c_maxes = (1.0 - deltas) * 0.99
+    lows = 0.01 * c_maxes
+    cs = lows + (c_maxes - lows) * u[:, 2]
+    for delta, beta, c in zip(deltas.tolist(), betas.tolist(), cs.tolist()):
         _, violation = diag.recursion_oracle_48(delta, c, beta, 200)
         ok = ok and violation is None
 

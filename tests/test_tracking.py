@@ -1,10 +1,21 @@
-"""Tests for the shared tracking term: the one-slot state memo."""
+"""Tests for the shared tracking term: the one-slot state memo and the
+state carried from the line search into the next iterate."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from gcg import elliptic, parabolic
-from gcg.core import SolverConfig, gcg_solve
+from gcg.core import (
+    ArmijoParams,
+    LineSearchError,
+    SolverConfig,
+    SolveStatus,
+    armijo_step,
+    dual_gap,
+    gcg_solve,
+)
 
 BUILDERS = {
     "elliptic": lambda: elliptic.make_example("stadler-ex1", 12),
@@ -12,17 +23,37 @@ BUILDERS = {
 }
 STEPS = (0.0, 0.17, 0.5, 0.99**7, 1.0)
 
+# one run per way a solve stops: (instance builder, solver settings, status)
+STOPS = {
+    "converged": (
+        lambda: parabolic.make_example("parabolic-ex-1d", 8, 12),
+        SolverConfig(),
+        SolveStatus.CONVERGED,
+    ),
+    "max-iter": (
+        lambda: elliptic.make_example("stadler-ex1", 16),
+        SolverConfig(max_iter=200),
+        SolveStatus.MAX_ITER_REACHED,
+    ),
+    "failed-search": (
+        lambda: elliptic.make_example("stadler-ex1", 2),
+        SolverConfig(),
+        SolveStatus.LINE_SEARCH_FAILED,
+    ),
+}
 
-def count_state_solves(prob) -> list:
-    """Record every application of S on prob; S* is not counted."""
+
+def count_solves(prob, names=("solve_state",)) -> list:
+    """Record every call of the named solves on prob; by default only S."""
     calls = []
-    solve = prob.solve_state
+    for name in names:
+        solve = getattr(prob, name)
 
-    def counted(values):
-        calls.append(values.size)
-        return solve(values)
+        def counted(values, name=name, solve=solve):
+            calls.append(name)
+            return solve(values)
 
-    prob.solve_state = counted
+        setattr(prob, name, counted)
     return calls
 
 
@@ -34,7 +65,7 @@ def test_memo_parity_with_a_fresh_instance(kind):
     _, grad = prob.f_and_grad(u)
     v = prob.lmo(grad)
     expected = [fresh.line_objective(u, v)(s) for s in STEPS]
-    calls = count_state_solves(prob)
+    calls = count_solves(prob)
 
     # right after the gradient at u, only S (v - u) is solved
     phi = prob.line_objective(u, v)
@@ -64,3 +95,98 @@ def test_final_gradient_is_the_gradient_at_the_final_iterate(kind):
     # a fresh instance has no state memo, so its gradient is solved anew
     _, fresh = BUILDERS[kind]().f_and_grad(u)
     assert np.array_equal(result.final_gradient.values, fresh.values)
+
+
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_carried_state_keeps_the_fresh_state_steps(stop):
+    build, config, status = STOPS[stop]
+    prob, fresh_prob = build(), build()
+    carried = gcg_solve(prob.composite(), prob.zero_control(), config)
+    fresh_problem = dataclasses.replace(fresh_prob.composite(), step=None)
+    fresh = gcg_solve(fresh_problem, fresh_prob.zero_control(), config)
+    assert carried.status is fresh.status is status
+    assert [(r.step, r.backtracks) for r in carried.history] == [
+        (r.step, r.backtracks) for r in fresh.history
+    ]
+    j_carried = np.array([r.j_value for r in carried.history])
+    j_fresh = np.array([r.j_value for r in fresh.history])
+    # measured at most 2.9 eps on these runs
+    drift = np.abs(j_carried - j_fresh) / np.abs(j_fresh)
+    assert drift.max() <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_two_solves_per_iteration(stop):
+    build, config, status = STOPS[stop]
+    prob = build()
+    calls = count_solves(prob, ("solve_state", "solve_adjoint"))
+    result = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert result.status is status
+    # per step S (v - u) and S* at the new point; S u and S* at the start;
+    # both again where the run refreshes the carried state before it stops
+    expected = 2 * result.iterations + 2 + 2
+    if status is SolveStatus.LINE_SEARCH_FAILED:
+        # the failed search solves S (v - u), and again once refreshed
+        expected += 2
+    assert len(calls) == expected
+    assert calls.count("solve_adjoint") == result.iterations + 2
+
+
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_final_row_comes_from_a_fresh_evaluation(stop):
+    build, config, status = STOPS[stop]
+    prob = build()
+    result = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert result.status is status
+    last, u = result.history[-1], result.final_iterate
+
+    # a fresh instance has no state memo, so it solves everything anew
+    fresh = build()
+    f_val, p = fresh.f_and_grad(u)
+    g_u = fresh.g_eval(u)
+    v = fresh.lmo(p)
+    gap = dual_gap(u, p, g_u, v, fresh.g_eval(v), slack=result.eps_fp)
+    assert last.j_value == f_val + g_u
+    assert last.gap == gap
+    assert np.array_equal(result.final_gradient.values, p.values)
+    if status is SolveStatus.LINE_SEARCH_FAILED:
+        with pytest.raises(LineSearchError) as failed:
+            armijo_step(u, v, gap, fresh.composite(), ArmijoParams(), j_u=last.j_value)
+        assert failed.value.exponent == last.backtracks
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_step_carries_the_state_of_the_priced_segment_only(kind):
+    prob = BUILDERS[kind]()
+    rng = np.random.default_rng(97)
+    u, w = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    _, grad = prob.f_and_grad(u)
+    v = prob.lmo(grad)
+    s = 0.99**7
+    prob.line_objective(u, v)
+    calls = count_solves(prob)
+
+    # a pair line_objective did not price: a plain blend, solved afresh
+    x = prob.step(u, w, s)
+    assert np.array_equal(x.values, u.blend(w, s).values)
+    f_x, p_x = prob.f_and_grad(x)
+    assert len(calls) == 1
+    f_fresh, p_fresh = BUILDERS[kind]().f_and_grad(x)
+    assert f_x == f_fresh
+    assert np.array_equal(p_x.values, p_fresh.values)
+
+    # the priced pair: the state comes from the segment, with no solve
+    prob.line_objective(u, v)
+    calls.clear()
+    y = prob.step(u, v, s)
+    assert np.array_equal(y.values, u.blend(v, s).values)
+    f_y, _ = prob.f_and_grad(y)
+    assert calls == []
+    f_fresh, _ = BUILDERS[kind]().f_and_grad(y)
+    assert f_y == pytest.approx(f_fresh, rel=1e-14)
+
+    # the segment is released: the same pair again is a plain blend
+    calls.clear()
+    z = prob.step(u, v, s)
+    prob.f_and_grad(z)
+    assert len(calls) == 1
