@@ -3,8 +3,10 @@
 Two subcommands: ``run`` solves a registered problem instance and writes
 the iteration history (CSV), the final control (text field dump), and a
 diagnostics report; ``list`` prints the problem registry.  All output is
-deterministic: rerunning the same configuration reproduces byte-identical
-files.
+deterministic at a fixed BLAS thread count: rerunning the same
+configuration reproduces byte-identical files.  The sine-basis products
+sum in a thread-dependent order, so pin the count, for example with
+OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte for byte.
 
 Exit codes: 0 on a completed solve, 1 on usage errors, 2 on numerical
 failures, 3 on I/O failures.

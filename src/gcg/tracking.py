@@ -39,8 +39,10 @@ class TrackingProblem:
 
     The memo is keyed on the identity of the ControlField, so a line search
     that follows a gradient evaluation at the same iterate reuses its
-    state, with the same floats.  line_objective keeps the segment it
-    priced, and step seeds the memo of the accepted point with the state
+    state, with the same floats.  It also keeps the f(u) that f_and_grad
+    computed, which line_objective takes as its f0.  line_objective keeps
+    the segment it priced, and step builds the accepted point from the
+    segment's difference v - u and seeds the memo with the state
     y_u + s dy carried from it, so the state is solved afresh only for a
     field no step made.  Carried states drift from a fresh solve by
     rounding; gcg_solve evaluates at a new field before it stops.  The
@@ -48,10 +50,11 @@ class TrackingProblem:
     makes every iterate a new ControlField.
     """
 
-    _memo: Optional[tuple[ControlField, np.ndarray]] = None
-    # (u, v, S u, S (v - u)) of the last segment line_objective priced
+    # (u, S u, f(u) or None until f_and_grad computes it)
+    _memo: Optional[tuple[ControlField, np.ndarray, Optional[float]]] = None
+    # (u, v, v - u, S u, S (v - u)) of the last segment line_objective priced
     _segment: Optional[
-        tuple[ControlField, ControlField, np.ndarray, np.ndarray]
+        tuple[ControlField, ControlField, np.ndarray, np.ndarray, np.ndarray]
     ] = None
 
     def _state_at(self, u: ControlField) -> np.ndarray:
@@ -59,7 +62,7 @@ class TrackingProblem:
             return self._memo[1]
         self._memo = None  # release the old state before solving for the new
         y = self.solve_state(u.values)
-        self._memo = (u, y)
+        self._memo = (u, y, None)
         return y
 
     def zero_control(self) -> ControlField:
@@ -67,8 +70,10 @@ class TrackingProblem:
 
     def f_and_grad(self, u: ControlField) -> tuple[float, ControlField]:
         """Tracking misfit and its gradient, the adjoint state p."""
-        resid = self._state_at(u) - self.target.values
+        y = self._state_at(u)
+        resid = y - self.target.values
         f_val = 0.5 * float(np.dot(u.mass, resid**2))
+        self._memo = (u, y, f_val)
         return f_val, u.with_values(self.solve_adjoint(resid))
 
     def line_objective(
@@ -76,21 +81,24 @@ class TrackingProblem:
     ) -> Callable[[float], float]:
         """Exact objective along the segment u + s (v - u).
 
-        The misfit is quadratic in s; its coefficients take the state at u
-        and one solve for the difference.  Feasibility holds on [0, 1] by
-        convexity and is not rechecked.
+        The misfit is quadratic in s; its coefficients take the state and
+        f(u) at u, from the memo after f_and_grad, and one solve for the
+        difference.  f1 and f2 reuse the residual's buffer.  Feasibility
+        holds on [0, 1] by convexity and is not rechecked.
         """
         du = v.values - u.values
         self._segment = None  # release the old difference before solving
         y_u = self._state_at(u)
-        resid = y_u - self.target.values
         dy = self.solve_state(du)
-        self._segment = (u, v, y_u, dy)
-        mass = u.mass
-        f0 = 0.5 * float(np.dot(mass, resid**2))
-        f1 = float(np.dot(mass, resid * dy))
-        f2 = float(np.dot(mass, dy**2))
+        self._segment = (u, v, du, y_u, dy)
         g_along = self.g_along(u, du)
+        mass = u.mass
+        resid = y_u - self.target.values
+        f0 = self._memo[2]
+        if f0 is None:
+            f0 = 0.5 * float(np.dot(mass, resid**2))
+        f1 = float(np.dot(mass, np.multiply(resid, dy, out=resid)))
+        f2 = float(np.dot(mass, np.multiply(dy, dy, out=resid)))
 
         def phi(s: float) -> float:
             return f0 + s * f1 + 0.5 * s * s * f2 + g_along(s)
@@ -101,16 +109,21 @@ class TrackingProblem:
         """The point u + s (v - u), with its state when the segment was priced.
 
         When (u, v) is, by identity, the pair of the last line_objective
-        call, the memo takes the state S u + s S (v - u) and the segment is
-        released; otherwise the point is a plain blend.
+        call, the point is s du + u from the kept difference du = v - u,
+        the floats of u.blend(v, s), and the memo takes the state
+        S u + s S (v - u); the segment is then released.  Otherwise the
+        point is a plain blend.
         """
-        w = u.blend(v, s)
         segment, self._segment = self._segment, None
-        if segment is not None and segment[0] is u and segment[1] is v:
-            _, _, y_u, dy = segment
-            dy *= s  # dy is ours alone, so the sum y_u + s dy reuses it
-            dy += y_u
-            self._memo = (w, dy)
+        if segment is None or segment[0] is not u or segment[1] is not v:
+            return u.blend(v, s)
+        _, _, du, y_u, dy = segment
+        values = s * du
+        values += u.values
+        w = u.with_values(values)
+        dy *= s  # dy is ours alone, so the sum y_u + s dy reuses it
+        dy += y_u
+        self._memo = (w, dy, None)
         return w
 
     def composite(self) -> CompositeProblem:

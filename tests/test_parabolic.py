@@ -1,6 +1,7 @@
 """Tests for the heat tracking instance: gradient, slicewise LMO, sparsity."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from gcg.parabolic import (
     ParabolicProblem,
     make_example,
 )
-from gcg.pde import Grid, SpaceTimeGrid, slice_l2_norms
+from gcg.pde import (
+    Grid,
+    SpaceTimeGrid,
+    group_l1_time,
+    slice_l2_norms,
+    slice_sq_norms,
+)
 
 
 def tiny_problem(alpha=0.5, radius=1.0, nt=3):
@@ -287,3 +294,49 @@ def test_problem_validation():
         ParabolicProblem(grid, 1.0, 0.1, 0.0, target)
     with pytest.raises(ValueError):
         ParabolicProblem(grid, 1.0, 0.1, 1.0, Grid(2, 1).zero_field())
+
+
+def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
+    # g_eval, dual_norm and g_along share one pass over each field's slices,
+    # with the floats of the formulas on slice_l2_norms
+    prob = make_example("parabolic-ex", 6, 9)
+    grid, w = prob.grid, prob.grid.space.mass_weights()
+    rng = np.random.default_rng(29)
+    u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    du = v.values - u.values
+    passes = []
+
+    def counted(field):
+        passes.append(field)
+        return slice_sq_norms(field)
+
+    def passes_over(*fields):
+        return len(passes) == len(fields) and all(map(operator.is_, passes, fields))
+
+    monkeypatch.setattr("gcg.parabolic.slice_sq_norms", counted)
+    got = (prob.g_eval(u), prob.g_eval(v), prob.dual_norm(u), prob.dual_norm(v))
+    g_along = prob.g_along(u, du)
+    assert passes_over(u, v)
+
+    assert got == (
+        prob.reg_alpha * float(grid.tau * slice_l2_norms(u).sum()),
+        prob.reg_alpha * float(grid.tau * slice_l2_norms(v).sum()),
+        group_l1_time(u),
+        group_l1_time(v),
+    )
+    u_sl, d_sl = grid.as_slices(u.values), grid.as_slices(du)
+    a0, a1, a2 = (u_sl**2) @ w, (u_sl * d_sl) @ w, (d_sl**2) @ w
+    for s in (0.0, 0.3, 0.99**5, 1.0):
+        sq = np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0)
+        assert g_along(s) == prob.reg_alpha * grid.tau * float(np.sqrt(sq).sum())
+
+    # a third field takes the oldest slot; a field that no longer exists
+    # matches nothing, whatever reuses its identity
+    x = prob.sample_feasible(rng)
+    assert prob.dual_norm(x) == group_l1_time(x)
+    assert prob.dual_norm(u) == group_l1_time(u)
+    assert passes_over(u, v, x, u)
+    del x, passes[:]
+    y = prob.sample_feasible(rng)
+    assert prob.dual_norm(y) == group_l1_time(y)
+    assert passes_over(y)

@@ -15,6 +15,7 @@ from gcg._sparse_reference import (
 )
 from gcg.core import ControlField, pairing
 from gcg.pde import (
+    _CHECK_BLOCK,
     _DUMP_CHUNK,
     _SLICE_BLOCK,
     Grid,
@@ -295,18 +296,25 @@ def test_heat_sweep_matches_sparse_step_solves(space, nt):
 
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "adjoint"])
 @pytest.mark.parametrize(
-    "m", [0, _SLICE_BLOCK - 1, _SLICE_BLOCK, 2 * _SLICE_BLOCK + 1],
+    "m", [0, _CHECK_BLOCK - 1, _CHECK_BLOCK, 2 * _CHECK_BLOCK + 4],
     ids=["first", "block_end", "block_start", "last"],
 )
 def test_heat_check_catches_a_perturbed_step(backward, m):
-    grid = SpaceTimeGrid(Grid(4, 2), nt=2 * _SLICE_BLOCK + 2, horizon=1.0)
+    # nt leaves a short tail block after two full check blocks
+    nt = 2 * _CHECK_BLOCK + 5
+    assert nt % _CHECK_BLOCK
+    grid = SpaceTimeGrid(Grid(4, 2), nt=nt, horizon=1.0)
     heat = HeatOperator(grid, 0.7)
     rng = np.random.default_rng(3)
     forcing = rng.standard_normal((grid.nt, grid.space.n_nodes))
     states = heat.adjoint(forcing) if backward else heat.forward(forcing)
     heat._check_steps(forcing, states, backward)  # the sweep itself passes
     states[m, 5] *= 1.0 + 1e-9
-    with pytest.raises(ResidualCheckError, match="residual check"):
+    # y_m enters step m and, as the previous state, step m + 1 going
+    # forward or step m - 1 going backward; the check names the first
+    first = m - 1 if backward and m > 0 else m
+    message = f"^heat step {first} failed the residual check"
+    with pytest.raises(ResidualCheckError, match=message):
         heat._check_steps(forcing, states, backward)
 
 
@@ -466,14 +474,30 @@ def test_field_dump_matches_per_value_format(tmp_path, size):
     values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-17.0, 2.0, size)
     values[: len(special)] = special
     values[-len(special) :] = special  # across the chunk boundary when size > chunk
+    # +0.0 takes the template's "0" and every other value "%.17g"
+    no_zeros = values.copy()
+    no_zeros[no_zeros == 0.0] = 1.5
+    negative_zero_in_zeros = np.zeros(size)
+    negative_zero_in_zeros[size // 2] = -0.0
+    zeros_around_boundary = values.copy()
+    edge = min(size, _DUMP_CHUNK)
+    zeros_around_boundary[edge - 3 : edge + 3] = 0.0
+    cases = {
+        "mixed": values,
+        "all +0.0": np.zeros(size),
+        "no zeros": no_zeros,
+        "-0.0 among +0.0": negative_zero_in_zeros,
+        "+0.0 around the chunk boundary": zeros_around_boundary,
+    }
     grid = Grid(size, 1)
-    path = tmp_path / "field.txt"
-    write_field(path, grid.field(values))
-    want = field_header(grid) + "\n" + "".join(f"{x:.17g}\n" for x in values)
-    assert path.read_bytes() == want.encode()
-    back = read_field(path).values
-    np.testing.assert_array_equal(back, values)
-    np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
+    for name, case in cases.items():
+        path = tmp_path / "field.txt"
+        write_field(path, grid.field(case))
+        want = field_header(grid) + "\n" + "".join(f"{x:.17g}\n" for x in case)
+        assert path.read_bytes() == want.encode(), name
+        back = read_field(path).values
+        np.testing.assert_array_equal(back, case)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(case))
 
 
 def test_field_io_rejects_bad_headers(tmp_path):

@@ -190,3 +190,28 @@ def test_step_carries_the_state_of_the_priced_segment_only(kind):
     z = prob.step(u, v, s)
     prob.f_and_grad(z)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_reused_values_are_the_fresh_floats(kind):
+    # f0 from the memo, the step from the kept difference and the carried
+    # state give, bit for bit, what computing each afresh gives
+    prob, fresh = BUILDERS[kind](), BUILDERS[kind]()
+    rng = np.random.default_rng(101)
+    u = prob.sample_feasible(rng)
+    _, grad = prob.f_and_grad(u)
+    v = prob.lmo(grad)
+    y_u = fresh.solve_state(u.values)
+    dy = fresh.solve_state(v.values - u.values)
+    for s in STEPS:
+        calls = count_solves(prob)
+        phi = prob.line_objective(u, v)  # a memo hit: f(u) is not recomputed
+        assert len(calls) == 1
+        expected = BUILDERS[kind]().line_objective(u, v)
+        assert [phi(t) for t in STEPS] == [expected(t) for t in STEPS]
+        w = prob.step(u, v, s)
+        assert w.values.tobytes() == u.blend(v, s).values.tobytes()
+        state, f_w = prob._memo[1:]
+        assert prob._memo[0] is w and f_w is None
+        assert state.tobytes() == (y_u + s * dy).tobytes()
+        prob.f_and_grad(u)  # the memo back at u for the next step
