@@ -137,6 +137,14 @@ class CompositeProblem:
     returns the point u + s (v - u), with the values of u.blend(v, s).  A
     problem may use it to carry what its line search learned about that
     point, such as its state, into the next smooth_eval.
+
+    line_enclosure is an optional cheap bracket of the segment objective:
+    called right after phi = line_objective(u, v), it returns None or a
+    callable s -> (lo, hi) with lo <= phi(s) <= hi, where phi(s) is the
+    float phi returns.  armijo_step decides a probe from the bracket
+    whenever the bracket lies on one side of the decrease target, and
+    calls phi only when it straddles it, so the decisions, and with them
+    the steps, are those of phi itself.
     """
 
     smooth_eval: Callable[[ControlField], tuple[float, ControlField]]
@@ -148,6 +156,12 @@ class CompositeProblem:
     ] = None
     step: Optional[
         Callable[[ControlField, ControlField, float], ControlField]
+    ] = None
+    line_enclosure: Optional[
+        Callable[
+            [ControlField, ControlField],
+            Optional[Callable[[float], tuple[float, float]]],
+        ]
     ] = None
 
 
@@ -308,29 +322,48 @@ def armijo_step(
     search returns the scan's n.  Below it a gallop probe can still pass
     over a band of passing exponents.  Either way the test holds at the
     returned step, and whenever n > 0 it fails at step / gamma.
+
+    When the problem gives a line_enclosure, a probe first takes the
+    bracket lo <= phi(s) <= hi.  The computed test target <= j0 - j_s is
+    monotone in j_s, since rounding is, so it passes for every j_s in the
+    bracket when target <= j0 - hi, and fails for every one when
+    target <= j0 - lo fails.  Only a bracket that straddles the target
+    calls phi.  Every decision is thus the one phi would give, the search
+    visits the same exponents and raises at the same one, and j_new is
+    phi(step), priced once more if the bracket decided the accepting probe.
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
     phi = _segment_objective(problem, u, v)
     j0 = phi(0.0) if j_u is None else j_u
+    enclosure = None
+    if problem.line_enclosure is not None:
+        enclosure = problem.line_enclosure(u, v)
     alpha, gamma = params.alpha, params.gamma
     budget = params.max_backtracks
     limit = math.inf if budget is None else budget + 1
+    priced: dict[int, float] = {}  # n -> phi(gamma**n) for every call of phi
 
-    def stops_at(n: int) -> tuple[bool, Optional[float]]:
-        """Whether the scan stops at n, and j there when the test passes."""
+    def stops_at(n: int) -> tuple[bool, bool]:
+        """Whether the scan stops at n, and whether the test passes there."""
         if n >= limit:
-            return True, None
+            return True, False
         s = gamma**n
         target = alpha * s * gap
         if target == 0.0:
             # the decrease target underflowed, so the test would accept any
             # non-increase, including a step too small to move the iterate
             # at all; treat that like an exhausted search
-            return True, None
-        j_s = phi(s)
+            return True, False
+        if enclosure is not None:
+            j_lo, j_hi = enclosure(s)
+            if target <= j0 - j_hi:
+                return True, True
+            if not target <= j0 - j_lo:
+                return False, False
+        j_s = priced[n] = phi(s)
         passed = target <= j0 - j_s
-        return passed, j_s if passed else None
+        return passed, passed
 
     # the last n with gamma**n * gap above the rounding of j(u)
     ratio = 8.0 * sys.float_info.epsilon * abs(j0) / gap
@@ -339,26 +372,28 @@ def armijo_step(
         edge = math.ceil(math.log(ratio) / math.log(gamma)) - 1
 
     lo, hi = -1, 0  # the scan goes on at lo and stops at hi
-    stop, j_new = stops_at(hi)
+    stop, passed = stops_at(hi)
     while not stop:
         lo, hi = hi, min(2 * hi + 2, limit)
         if lo < edge < hi:
             hi = edge
-        stop, j_new = stops_at(hi)
+        stop, passed = stops_at(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        stop, j_mid = stops_at(mid)
+        stop, passed_mid = stops_at(mid)
         if stop:
-            hi, j_new = mid, j_mid
+            hi, passed = mid, passed_mid
         else:
             lo = mid
-    if j_new is None:
+    if not passed:
         raise LineSearchError(
             f"no sufficient decrease before the search stopped at n = {hi}; "
             "the gap is at rounding level or an oracle is inconsistent",
             hi,
         )
-    return gamma**hi, hi, j_new
+    step = gamma**hi
+    j_new = priced[hi] if hi in priced else phi(step)
+    return step, hi, j_new
 
 
 def gcg_solve(

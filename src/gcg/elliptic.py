@@ -14,9 +14,11 @@ Minimizers inherit that three-valued structure wherever |p| != beta.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +32,9 @@ class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, penalty weight, bounds, target.
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
-    applies it in the stencil's sine basis.
+    applies it in the stencil's sine basis.  g_along_bounds brackets the
+    penalty along a segment in closed form, so most backtracking probes
+    take a bisect and a few float operations instead of an O(N) sum.
     """
 
     grid: Grid
@@ -100,6 +104,89 @@ class EllipticProblem(TrackingProblem):
             return beta * float(np.dot(mass, np.abs(vals + s * du)))
 
         return g_val
+
+    def g_along_bounds(
+        self, u: ControlField, du: np.ndarray
+    ) -> Optional[Callable[[float], tuple[float, float]]]:
+        """Bracket [g - e, g + e] of the float g_along(u, du)(s) returns.
+
+        Along the segment, g(s) = beta sum_i m_i |u_i + s du_i| is piecewise
+        linear.  With tau_i = sign(u_i), or sign(du_i) where u_i = 0, node i
+        contributes m_i tau_i (u_i + s du_i) until its kink
+        t_i = |u_i| / |du_i|, which lies in (0, 1) exactly where
+        tau_i du_i < -|u_i|; after it, the opposite sign.  So with the kinks
+        sorted and k of them below s,
+
+            g(s) = beta ((a0 - 2 A_k) + s (b + 2 B_k)),
+
+        a0 = sum m |u| (the dot of pde.l1_norm, so g(0) is g_eval(u) bit for
+        bit), b = sum m tau du, and A_k, B_k the prefix sums of m |u| and
+        m |du| over the first k kinks: one bisect per probe.
+
+        Rounding bound.  Let u_r = eps / 2, U = sum m |u|, D = sum m |du|
+        and S = U + s D.  A dot product of N terms carries an error of at
+        most gamma_N = N u_r / (1 - N u_r) times the sum of the terms'
+        magnitudes, in any summation order, fused or not (Higham,
+        Accuracy and Stability, sec. 3.1), and so does a cumulative sum of
+        K terms with gamma_K.  To first order in u_r:
+
+        - the direct sum rounds s du_i and u_i + s du_i, so each
+          |u_i + s du_i| is off by at most 2 u_r (|u_i| + s |du_i|); the
+          dot adds gamma_N and the product with beta u_r: (N + 3) u_r S.
+        - the closed form: a0 and b are dots (N u_r U, N u_r D), 2 A_k and
+          2 B_k cumulative sums over K <= N kinks (2K u_r U, 2K u_r D),
+          and the two differences, the product with s, the sum and the
+          product with beta round five more times, each by at most u_r S.
+          A computed kink may sit one rounding from the true one; between
+          them node i takes the wrong sign, but there
+          |u_i + s du_i| <= u_r |u_i|, so that costs 2 u_r U.  In all
+          (N + 2K + 7) u_r S.
+
+        The two differ by at most (2N + 2K + 10) u_r S <= (2N + 5) eps S.
+        The bracket takes e(s) = 4 (N + 16) eps beta S: c = 4 doubles the
+        first-order 2N, and k = 16 covers the constant, so a factor of 2
+        remains for the higher-order terms, for U and D being computed
+        sums themselves, and for the rounding of e and of g -/+ e.
+
+        None when beta (U + D) is not finite, where the closed form could
+        overflow and the direct sum not.
+        """
+        beta, mass, vals = self.reg_beta, u.mass, u.values
+        abs_u = np.abs(vals)
+        a0 = float(np.dot(mass, abs_u))
+        tau_du = np.abs(du)
+        d_sum = float(np.dot(mass, tau_du))
+        if not math.isfinite(2.0 * beta * (a0 + d_sum)):
+            return None
+        # tau du is |du| except where u and du have strictly opposite signs
+        signed_du = np.sign(vals)
+        signed_du *= du  # sign(u) du, exactly
+        opposite = np.flatnonzero(signed_du < 0.0)
+        signed_du = signed_du[opposite]
+        tau_du[opposite] = signed_du
+        slope = float(np.dot(mass, tau_du))
+
+        kinks, const, lin = [], [a0], [slope]
+        inside = signed_du < -abs_u[opposite]  # the kink lies in (0, 1)
+        if inside.any():
+            cross = opposite[inside]
+            abs_uc, abs_duc = abs_u[cross], -signed_du[inside]
+            t = abs_uc / abs_duc
+            order = np.argsort(t, kind="stable")
+            m = mass[cross][order]
+            kinks = t[order].tolist()
+            const += (a0 - 2.0 * np.cumsum(m * abs_uc[order])).tolist()
+            lin += (slope + 2.0 * np.cumsum(m * abs_duc[order])).tolist()
+        scale = 4.0 * (vals.size + 16) * sys.float_info.epsilon * beta
+        e0, e1 = scale * a0, scale * d_sum
+
+        def bounds(s: float) -> tuple[float, float]:
+            k = bisect_left(kinks, s)
+            g = beta * (const[k] + s * lin[k])
+            e = e0 + s * e1
+            return g - e, g + e
+
+        return bounds
 
     @cached_property
     def lipschitz_estimate(self) -> float:

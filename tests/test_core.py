@@ -397,6 +397,108 @@ def test_armijo_matches_linear_scan(segment, alpha, gamma, budget, pass_j_u):
         assert n == 0 or not passes[n - 1]
 
 
+def bracketed(problem, delta, calls):
+    """The problem with a line_enclosure [phi - d, phi + d] around the direct
+    segment objective, d = delta(phi(s)); calls records each probe of phi."""
+
+    def line_enclosure(u, v):
+        phi = segment_phi(problem, u, v)
+
+        def bounds(s):
+            j_s = phi(s)
+            d = delta(j_s)
+            return j_s - d, j_s + d
+
+        return bounds
+
+    return dataclasses.replace(counting(problem, calls), line_enclosure=line_enclosure)
+
+
+def search_result(u, v, gap, problem, params, j_u=None):
+    """(step, n, j_new), or the exponent of the LineSearchError raised."""
+    try:
+        return armijo_step(u, v, gap, problem, params, j_u=j_u)
+    except LineSearchError as exc:
+        return ("raised", exc.exponent)
+
+
+def enclosure_deltas(seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "exact": lambda j: 0.0,
+        "random": lambda j: rng.uniform(0.0, 4.0) * 10.0 ** rng.integers(-20, 1),
+        "wide": lambda j: 1e300,  # larger than any margin: phi decides all
+    }
+
+
+def assert_enclosure_keeps_the_search(u, v, gap, problem, params, delta, j_u=None):
+    direct_calls, calls = [], []
+    direct = counting(problem, direct_calls)
+    want = search_result(u, v, gap, direct, params, j_u)
+    got = search_result(u, v, gap, bracketed(problem, delta, calls), params, j_u)
+    assert got == want
+    return len(direct_calls), len(calls)
+
+
+def scalar_search_cases():
+    """(u, v, gap, problem, params, j_u): the scalar searches of this module."""
+    one, minus_one = field(1.0), field(-1.0)
+    e4 = field(0.0, 0.0, 0.0, 1.0)
+    quad = CompositeProblem(
+        lambda w: (0.5 * float(w.values @ w.values), w), lambda w: 0.0, None, None
+    )
+    eps = float(np.finfo(float).eps)
+    wide = scalar_problem(0.0, lower=-8.0)
+    cases = [
+        (field(-1.0), one, 4.0, scalar_problem(1.0), ArmijoParams(0.5, 0.5), None),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5), None),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99), None),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 69), 0.5),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 68), None),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, eps, 1), None),
+        (e4, e4.with_values(-e4.values), 2.0, quad, ArmijoParams(0.5, 1e-10, 2), None),
+        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 12), None),
+        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 5000), 0.125),
+    ]
+    for budget in (None, 3, 2):
+        params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
+        cases.append((one, field(-7.0), 8.0, wide, params, None))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["exact", "random", "wide"])
+def test_enclosure_keeps_every_scalar_search(kind):
+    # the same step, exponent and j_new, or the same exponent raised, as the
+    # search that prices every probe; an exact bracket leaves phi only j_new
+    # (and j(u) where j_u is not given), a wide one leaves it every probe
+    delta = enclosure_deltas(11)[kind]
+    for u, v, gap, problem, params, j_u in scalar_search_cases():
+        direct, bracketed_calls = assert_enclosure_keeps_the_search(
+            u, v, gap, problem, params, delta, j_u
+        )
+        if kind == "exact":
+            assert bracketed_calls <= 1 + (j_u is None)
+        elif kind == "wide":
+            assert bracketed_calls == direct
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segment=convex_segment(),
+    alpha=st.floats(0.0, 0.5, exclude_min=True),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    budget=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enclosure_keeps_random_convex_searches(segment, alpha, gamma, budget, seed):
+    prob, u, v, gap = segment
+    assume(math.isfinite(gap) and gap > 0.0)
+    j_u = segment_phi(prob, u, v)(0.0)
+    params = ArmijoParams(alpha, gamma, budget)
+    for delta in enclosure_deltas(seed).values():
+        assert_enclosure_keeps_the_search(u, v, gap, prob, params, delta, j_u)
+
+
 def test_armijo_params_validation():
     with pytest.raises(ValueError):
         ArmijoParams(alpha=0.6)

@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gcg import elliptic, parabolic
+from gcg import core, elliptic, parabolic
 from gcg.core import (
     ArmijoParams,
+    ControlField,
     LineSearchError,
     SolverConfig,
     SolveStatus,
@@ -16,6 +17,7 @@ from gcg.core import (
     dual_gap,
     gcg_solve,
 )
+from gcg.pde import Grid
 
 BUILDERS = {
     "elliptic": lambda: elliptic.make_example("stadler-ex1", 12),
@@ -215,3 +217,149 @@ def test_reused_values_are_the_fresh_floats(kind):
         assert prob._memo[0] is w and f_w is None
         assert state.tobytes() == (y_u + s * dy).tobytes()
         prob.f_and_grad(u)  # the memo back at u for the next step
+
+
+# elliptic runs whose segments the closed-form bracket prices
+ENCLOSED = {
+    "ex1-max-iter": STOPS["max-iter"],
+    "ex3": (
+        lambda: elliptic.make_example("stadler-ex3", 16),
+        SolverConfig(),
+        SolveStatus.CONVERGED,
+    ),
+    "ex1-failed-search": STOPS["failed-search"],
+}
+
+
+def logged_searches(monkeypatch) -> list:
+    """Log every armijo_step: (gap, j_u, params, [(s, lo, hi)], [s of phi])."""
+    searches = []
+    search = core.armijo_step
+
+    def logged(u, v, gap, problem, params, j_u=None):
+        brackets, priced = [], []
+        searches.append((gap, j_u, params, brackets, priced))
+        line_objective, line_enclosure = problem.line_objective, problem.line_enclosure
+
+        def objective(u, v):
+            phi = line_objective(u, v)
+
+            def counted(s):
+                priced.append(s)
+                return phi(s)
+
+            return counted
+
+        def enclosure(u, v):
+            bounds = line_enclosure(u, v)
+
+            def recorded(s):
+                lo, hi = bounds(s)
+                brackets.append((s, lo, hi))
+                return lo, hi
+
+            return recorded
+
+        problem = dataclasses.replace(
+            problem, line_objective=objective, line_enclosure=enclosure
+        )
+        return search(u, v, gap, problem, params, j_u)
+
+    monkeypatch.setattr(core, "armijo_step", logged)
+    return searches
+
+
+@pytest.mark.parametrize("run", sorted(ENCLOSED))
+def test_enclosure_parity_with_the_direct_probes(run, monkeypatch):
+    build, config, status = ENCLOSED[run]
+    prob, direct_prob = build(), build()
+    assert prob.composite().line_enclosure is not None
+    direct = gcg_solve(
+        dataclasses.replace(direct_prob.composite(), line_enclosure=None),
+        direct_prob.zero_control(),
+        config,
+    )
+    searches = logged_searches(monkeypatch)
+    result = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert result.status is direct.status is status
+    assert result.history == direct.history
+    assert result.final_iterate.values.tobytes() == direct.final_iterate.values.tobytes()
+    assert result.final_gradient.values.tobytes() == direct.final_gradient.values.tobytes()
+
+    # phi prices a probe only where the bracket straddles the target, and
+    # the accepted step once more where the bracket decided it
+    fallbacks = 0
+    for gap, j0, params, brackets, priced in searches:
+        assert brackets and len(priced) <= len(brackets)
+        accepted = {}
+        for s, lo, hi in brackets:
+            target = params.alpha * s * gap
+            assert lo <= hi
+            accepted[s] = target <= j0 - hi
+        fallbacks += sum(not accepted[s] for s in priced)
+    if status is SolveStatus.LINE_SEARCH_FAILED:
+        # the failed search's borderline decisions reach phi
+        assert fallbacks >= 1
+    probes = sum(len(brackets) for *_, brackets, _ in searches)
+    assert sum(len(priced) for *_, priced in searches) < probes
+
+
+def bracket_contains(prob, u, du, steps):
+    """Assert g_along(u, du)(s) lies in the bracket at every s; the brackets."""
+    g_along, bounds = prob.g_along(u, du), prob.g_along_bounds(u, du)
+    out = []
+    for s in steps:
+        lo, hi = bounds(s)
+        assert lo <= g_along(s) <= hi, (s, lo, g_along(s), hi)
+        out.append((lo, hi))
+    return out
+
+
+def test_enclosure_holds_around_kinks():
+    prob = elliptic.make_example("stadler-ex1", 8)
+    lower, upper = prob.lower.values, prob.upper.values
+    rng = np.random.default_rng(103)
+    n = lower.size
+    for trial in range(40):
+        mass = rng.uniform(0.01, 3.0, n) * 10.0 ** rng.integers(-3, 2)
+        vals = rng.uniform(lower, upper)
+        vals[rng.random(n) < 0.3] = 0.0
+        vals[rng.random(n) < 0.1] = lower[0]
+        vals[rng.random(n) < 0.1] = upper[0]
+        v = rng.choice([lower[0], 0.0, upper[0]], n)
+        u = ControlField(vals, mass)
+        du = v - vals
+        kinks = -vals / np.where(du == 0.0, 1.0, du)
+        kinks = kinks[(vals * du < 0.0) & (kinks < 1.0)]
+        assert kinks.size >= 3
+        steps = [0.0, 1.0, *rng.random(8)]
+        for t in rng.choice(kinks, min(kinks.size, 6), replace=False):
+            steps += [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+        bracket_contains(prob, u, du, steps)
+
+
+def test_enclosure_hand_case_with_two_kinks():
+    # beta (0.5 |1 - 4s| + 0.25 |4s - 3| + 2 * 2): kinks at s = 1/4 and 3/4
+    grid = Grid(3, 1)
+    prob = elliptic.EllipticProblem(
+        grid=grid,
+        reg_beta=0.5,
+        lower=grid.field([-4.0, -4.0, -4.0]),
+        upper=grid.field([4.0, 4.0, 4.0]),
+        target=grid.field([0.0, 0.0, 0.0]),
+    )
+    mass = np.array([0.5, 0.25, 2.0])
+    u = ControlField(np.array([1.0, -3.0, 2.0]), mass)
+    du = np.array([-3.0, 1.0, 2.0]) - u.values
+    exact = {0.0: 5.25, 0.25: 4.5, 0.5: 4.75, 0.75: 5.0, 1.0: 5.75}
+    brackets = bracket_contains(prob, u, du, list(exact))
+    eps = np.finfo(float).eps
+    for (s, g), (lo, hi) in zip(exact.items(), brackets):
+        assert prob.g_along(u, du)(s) == 0.5 * g
+        # e(s) = 4 (N + 16) eps beta (sum m |u| + s sum m |du|)
+        e = 4 * (3 + 16) * eps * 0.5 * (5.25 + s * 3.0)
+        assert lo < 0.5 * g < hi
+        assert hi - lo == pytest.approx(2 * e, rel=1e-12)
+    # at s = 0 the closed form is g_eval(u) bit for bit
+    e0 = 4 * (3 + 16) * eps * 0.5 * 5.25
+    assert brackets[0] == (prob.g_eval(u) - e0, prob.g_eval(u) + e0)
