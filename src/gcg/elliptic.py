@@ -35,6 +35,9 @@ class EllipticProblem(TrackingProblem):
     applies it in the stencil's sine basis.  g_along_bounds brackets the
     penalty along a segment in closed form, so most backtracking probes
     take a bisect and a few float operations instead of an O(N) sum.
+    g_eval, dual_norm and g_along_bounds share pde.l1_norm of each field
+    through TrackingProblem._memo_norm, so one iteration sums m |u| over u
+    and over v once each.
     """
 
     grid: Grid
@@ -76,7 +79,7 @@ class EllipticProblem(TrackingProblem):
             u.values > self.upper.values + tol
         ):
             return math.inf
-        return self.reg_beta * l1_norm(u)
+        return self.reg_beta * self._memo_norm(u, l1_norm)
 
     def lmo(self, p: ControlField) -> ControlField:
         """Nodewise minimizer of p*v + beta*|v| over [lower, upper].
@@ -94,7 +97,7 @@ class EllipticProblem(TrackingProblem):
         return p.with_values(vals)
 
     def dual_norm(self, u: ControlField) -> float:
-        return l1_norm(u)
+        return self._memo_norm(u, l1_norm)
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """beta-weighted l1 norm of u + s du; the box holds on [0, 1]."""
@@ -119,9 +122,10 @@ class EllipticProblem(TrackingProblem):
 
             g(s) = beta ((a0 - 2 A_k) + s (b + 2 B_k)),
 
-        a0 = sum m |u| (the dot of pde.l1_norm, so g(0) is g_eval(u) bit for
-        bit), b = sum m tau du, and A_k, B_k the prefix sums of m |u| and
-        m |du| over the first k kinks: one bisect per probe.
+        a0 = sum m |u| (pde.l1_norm, shared with g_eval, so g(0) is
+        g_eval(u) bit for bit), b = sum m tau du, and A_k, B_k the prefix
+        sums of m |u| and m |du| over the first k kinks: one bisect per
+        probe.
 
         Rounding bound.  Let u_r = eps / 2, U = sum m |u|, D = sum m |du|
         and S = U + s D.  A dot product of N terms carries an error of at
@@ -153,7 +157,7 @@ class EllipticProblem(TrackingProblem):
         """
         beta, mass, vals = self.reg_beta, u.mass, u.values
         abs_u = np.abs(vals)
-        a0 = float(np.dot(mass, abs_u))
+        a0 = self._memo_norm(u, l1_norm)
         tau_du = np.abs(du)
         d_sum = float(np.dot(mass, tau_du))
         if not math.isfinite(2.0 * beta * (a0 + d_sum)):

@@ -15,7 +15,6 @@ minimizers concentrate on time slices where the adjoint is loud and satisfy
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -34,19 +33,13 @@ from gcg.pde import (
 from gcg.tracking import TrackingProblem
 
 
-# Fields whose squared slice norms ParabolicProblem keeps: u and v of one
-# iteration.
-_NORM_SLOTS = 2
-
-
 @dataclass(eq=False)
 class ParabolicProblem(TrackingProblem):
     """One heat tracking instance on a space-time grid.
 
-    g_eval, dual_norm and g_along share a memo of the squared slice norms
-    slice_sq_norms of the last _NORM_SLOTS fields, keyed by identity like
-    the state memo, so one iteration takes those norms of u and of v once
-    each.  The memo holds its fields weakly and keeps no values alive.
+    g_eval, dual_norm and g_along share the squared slice norms
+    slice_sq_norms of each field through TrackingProblem._memo_norm, so
+    one iteration takes those norms of u and of v once each.
     """
 
     grid: SpaceTimeGrid
@@ -54,9 +47,6 @@ class ParabolicProblem(TrackingProblem):
     reg_alpha: float
     ball_radius: float
     target: ControlField
-
-    # ((weak reference to a field, its slice_sq_norms), ...), newest first
-    _norm_memo = ()
 
     def __post_init__(self):
         if self.reg_alpha < 0.0:
@@ -76,17 +66,9 @@ class ParabolicProblem(TrackingProblem):
     def solve_adjoint(self, values: np.ndarray) -> np.ndarray:
         return self.heat.adjoint(self.grid.as_slices(values)).ravel()
 
-    def _slice_sq_norms(self, u: ControlField) -> np.ndarray:
-        for ref, sq in self._norm_memo:
-            if ref() is u:
-                return sq
-        sq = slice_sq_norms(u)
-        self._norm_memo = ((weakref.ref(u), sq),) + self._norm_memo[: _NORM_SLOTS - 1]
-        return sq
-
     def g_eval(self, u: ControlField) -> float:
         """Weighted time-l1 of slice norms; infinite outside the slice ball."""
-        norms = np.sqrt(self._slice_sq_norms(u))
+        norms = np.sqrt(self._memo_norm(u, slice_sq_norms))
         tol = 1e-12 * max(1.0, self.ball_radius)
         if np.any(norms > self.ball_radius + tol):
             return math.inf
@@ -107,7 +89,8 @@ class ParabolicProblem(TrackingProblem):
 
     def dual_norm(self, u: ControlField) -> float:
         """Time integral of the slice norms, as pde.group_l1_time."""
-        return float(self.grid.tau * np.sqrt(self._slice_sq_norms(u)).sum())
+        sq = self._memo_norm(u, slice_sq_norms)
+        return float(self.grid.tau * np.sqrt(sq).sum())
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """Group term of u + s du: per slice, the square root of a quadratic
@@ -117,7 +100,7 @@ class ParabolicProblem(TrackingProblem):
         w = grid.space.mass_weights()
         u_sl = grid.as_slices(u.values)
         d_sl = grid.as_slices(du)
-        a0 = self._slice_sq_norms(u)
+        a0 = self._memo_norm(u, slice_sq_norms)
         a1 = (u_sl * d_sl) @ w
         a2 = (d_sl**2) @ w
         tau, alpha = grid.tau, self.reg_alpha

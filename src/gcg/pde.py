@@ -46,6 +46,11 @@ _BACKWARD_TOL = 64 * np.finfo(float).eps
 # Values per formatted chunk of a field dump.
 _DUMP_CHUNK = 1 << 16
 
+# 10**k for k = 0..20, each an exact double (5**20 < 2**53), and the range of
+# the 17-digit significands of a field dump.
+_POW10 = np.array([float(10**k) for k in range(21)])
+_SIG_MIN, _SIG_MAX = 10**16, 10**17
+
 # Names that moved to gcg._sparse_reference and are still looked up here by
 # the benchmark's tracer (bench/spans.py).
 _FORWARDED = ("DiscreteOperator", "estimate_c_constant", "splu")
@@ -445,25 +450,139 @@ def field_header(meta) -> str:
     return f"{space.n} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
 
 
+def _split(x):
+    """Dekker's split x = hi + lo, each half with at most 26 significant bits."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _round_scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**(16 - e)), exactly, as int64; e in [-4, 16].
+
+    c = 10**(16 - e) is an exact double, and Dekker's TwoProduct gives
+    a c = p + err exactly, p = fl(a c).  Where p >= 2**53, p is an even
+    integer, so a c rounds to p + rint(err) (rint rounds ties to even).
+    Where p < 2**53, the result is below 10**16 whatever it is exactly.
+    """
+    k = 16 - e
+    c = _POW10[k]
+    p = a * c
+    ah, al = _split(a)
+    ch, cl = _POW10_HI[k], _POW10_LO[k]
+    err = ((ah * ch - p) + ah * cl + al * ch) + al * cl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _fixed_exponents(a: np.ndarray):
+    """(fixed, X, D) for positive values a printed by "%.17g".
+
+    X is the decimal exponent of a rounded to 17 significant digits and
+    D = round-half-even(a * 10**(16 - X)) its digits.  The candidate
+    x = floor(log10 a) is X wherever D(x) lies strictly between 10**16
+    and 10**17: below floor(log10 a) D(x) >= 10**17, above it
+    D(x) <= 10**16, and at it D(x) = 10**17 where the 17 digits carry into
+    the next power of ten.  fixed marks the values with such an x in
+    [-4, 16], where "%.17g" prints fixed notation.  The others, among them
+    the values within a few units in the last place of a power of ten,
+    where log10 can round across it, are left to CPython.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.floor(np.log10(a))
+    fixed = (x >= -4.0) & (x <= 16.0)
+    x = np.where(fixed, x, 0.0).astype(np.int64)
+    d = _round_scaled(np.where(fixed, a, 0.0), x)
+    fixed &= (d > _SIG_MIN) & (d < _SIG_MAX)
+    return fixed, x, d
+
+
+def _decimal_digits(d: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each d in [10**16, 10**17), one row each."""
+    digits = np.empty((17, d.size), np.uint32)
+    high = d // 10**9
+    row = 0
+    for half, width in ((high, 8), (d - high * 10**9, 9)):
+        half = half.astype(np.uint32)
+        for j in range(width):
+            np.floor_divide(half, np.uint32(10 ** (width - 1 - j)), out=digits[row + j])
+        digits[row + 1 : row + width] -= np.uint32(10) * digits[row : row + width - 1]
+        row += width
+    return digits.astype(np.uint8)
+
+
+# Slot indices of the 17 significand digits and of the 4 leading zeros in
+# the digit string "0000" + D of _format_values.
+_DIGIT_SLOTS = np.arange(4, 21, dtype=np.int8)[:, None]
+_LEAD_SLOTS = np.arange(4, dtype=np.int8)[:, None]
+# A row that leaves its value to CPython: a "%.17g" placeholder.
+_PLACEHOLDER = np.frombuffer(b"\0%.17g" + bytes(37), np.uint8)
+
+
+def _format_values(values: np.ndarray) -> str:
+    """The concatenated bytes of "%.17g\n" % x for each x in values.
+
+    Each value gets a row of 44 bytes, NUL for padding: a '-' slot, 21
+    pairs of a character and a '.' slot, and '\n'; translate then drops
+    the NULs.  A fixed-notation value a = D * 10**(X - 16) fills the pairs
+    from the digit string Z = "0000" + D, whose units digit is Z[4 + X]:
+    Z[i] is kept from i = min(4, 4 + X) up to the units digit or the last
+    nonzero digit, whichever is later, and '.' follows the units digit
+    when a nonzero digit comes after it.  +-0.0 print as "0" and "-0".
+    Every other value gets the placeholder, filled by one % at the end.
+    """
+    rows = np.zeros((values.size, 44), np.uint8)
+    rows[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    rows[:, 1] = ord("0")
+    rows[:, 43] = ord("\n")
+    nonzero = np.flatnonzero(values)
+    fixed, x, d = _fixed_exponents(np.abs(values[nonzero]))
+    rest, nonzero = nonzero[~fixed], nonzero[fixed]
+    if nonzero.size:
+        units = 4 + x[fixed].astype(np.int8)
+        digits = _decimal_digits(d[fixed])
+        last = ((digits != 0) * _DIGIT_SLOTS).max(axis=0)
+        digits += ord("0")
+        digits *= _DIGIT_SLOTS <= np.maximum(last, units)
+        pairs = np.zeros((nonzero.size, 21, 2), np.uint8)
+        pairs[:, :4, 0] = ((_LEAD_SLOTS >= units) * np.uint8(ord("0"))).T
+        pairs[:, 4:, 0] = digits.T
+        point = np.flatnonzero(last > units)
+        pairs[point, units[point], 1] = ord(".")
+        rows[nonzero, 1:43] = pairs.reshape(nonzero.size, 42)
+    rows[rest, :43] = _PLACEHOLDER
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    if rest.size:
+        text %= tuple(values[rest].tolist())
+    return text
+
+
 def write_field(path, u: ControlField) -> None:
     """Write a field as a text dump: field_header, then one value per line.
 
     Values are printed row-major with 17 significant digits, enough to
-    round-trip float64 exactly: the bytes of "%.17g\n" % x for each value x.
-    Each chunk of _DUMP_CHUNK values is formatted by one % over a template
-    that holds "0\n" for each +0.0 and "%.17g\n" for every other value, so
-    -0.0 still prints as -0 and the zero slices of a sparse control cost
-    no formatting.
+    round-trip float64 exactly: the bytes of "%.17g\n" % x for each value x,
+    formatted in chunks of _DUMP_CHUNK values by _format_values.
+
+    Fast range: nonzero finite x whose exponent X after rounding to 17
+    digits lies in [-4, 16], where "%.17g" uses fixed notation.  There the
+    digits D = round-half-even(|x| * 10**(16 - X)) are computed exactly:
+    10**k is an exact double for k <= 22, Dekker's TwoProduct gives
+    |x| 10**k as p + err with no rounding, and p >= 10**16 > 2**53 is an
+    even integer, so D = p + rint(err) (_round_scaled, _fixed_exponents).
+    +0.0 and -0.0 print as "0" and "-0" directly.  Fallback: every other
+    value (scientific range, subnormals, |x| >= 1e17, inf, nan, and the
+    few values next to a power of ten whose exponent log10 leaves in
+    doubt) is left to CPython's "%.17g" through one % per chunk.
     """
     header = field_header(u.meta)
     values = u.values
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, values.size, _DUMP_CHUNK):
-            chunk = values[start : start + _DUMP_CHUNK]
-            zero = (chunk == 0.0) & ~np.signbit(chunk)
-            template = "".join(np.where(zero, "0\n", "%.17g\n").tolist())
-            fh.write(template % tuple(chunk[~zero].tolist()))
+            fh.write(_format_values(values[start : start + _DUMP_CHUNK]))
 
 
 def read_field(path) -> ControlField:

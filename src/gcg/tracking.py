@@ -32,11 +32,16 @@ growth_measure(p, eps) and structure(u, p).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 import numpy as np
 
 from gcg.core import CompositeProblem, ControlField
+
+# Fields whose penalty norm a TrackingProblem keeps: u and v of one
+# iteration.
+_NORM_SLOTS = 2
 
 
 class TrackingProblem:
@@ -54,7 +59,10 @@ class TrackingProblem:
     line_enclosure brackets the priced segment's objective from the
     instance's g_along_bounds, so the line search calls phi only for its
     close calls.  The memo assumes that no field's values are changed in
-    place; the solver makes every iterate a new ControlField.
+    place; the solver makes every iterate a new ControlField.  _memo_norm
+    keeps a second memo, of the penalty's norm of the last _NORM_SLOTS
+    fields, also keyed by identity; it holds its fields weakly and keeps
+    no values alive.
     """
 
     # (u, S u, f(u) or None until f_and_grad computes it)
@@ -78,6 +86,23 @@ class TrackingProblem:
             Optional[Callable[[float], tuple[float, float]]],
         ]
     ] = None
+
+    # ((weak reference to a field, its norm), ...), newest first
+    _norm_memo = ()
+
+    def _memo_norm(self, u: ControlField, norm: Callable):
+        """norm(u), from the memo when u is one of the last fields seen.
+
+        An instance passes one norm, the one its g_eval, dual_norm and
+        g_along share, so one iteration takes it of u and of v once each.
+        """
+        for ref, value in self._norm_memo:
+            if ref() is u:
+                return value
+        value = norm(u)
+        kept = self._norm_memo[: _NORM_SLOTS - 1]
+        self._norm_memo = ((weakref.ref(u), value),) + kept
+        return value
 
     def _state_at(self, u: ControlField) -> np.ndarray:
         if self._memo is not None and self._memo[0] is u:

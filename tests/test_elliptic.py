@@ -19,7 +19,7 @@ from gcg.elliptic import (
     EllipticProblem,
     make_example,
 )
-from gcg.pde import Grid, l2_norm
+from gcg.pde import Grid, l1_norm, l2_norm
 
 
 def dense_inverse(grid):
@@ -132,6 +132,35 @@ def test_g_eval_box_and_penalty():
     # fp slack keeps roundoff-level violations feasible
     nudged = prob.grid.field([1.0 + 1e-13, 0.0, 0.0])
     assert math.isfinite(prob.g_eval(nudged))
+
+
+def test_l1_norms_are_summed_once_per_field(monkeypatch):
+    # g_eval, dual_norm and the bracket's a0 share one sum of m |u| per
+    # field, so a solve sums it at most once for each distinct field, and
+    # its history is the one of a solve that sums it at every call
+    prob = make_example("stadler-ex3", 8)
+    config = SolverConfig(max_iter=40)
+    summed = []
+
+    def counted(field):
+        summed.append(field)  # keeps every field alive: ids stay distinct
+        return l1_norm(field)
+
+    monkeypatch.setattr("gcg.elliptic.l1_norm", counted)
+    memoised = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert len(memoised.history) == 41
+    assert len(summed) >= len(memoised.history)
+    assert len({id(field) for field in summed}) == len(summed)
+
+    def unmemoised(self, u, norm):
+        return norm(u)
+
+    monkeypatch.setattr(EllipticProblem, "_memo_norm", unmemoised)
+    direct = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert direct.history == memoised.history
+    np.testing.assert_array_equal(
+        direct.final_iterate.values, memoised.final_iterate.values
+    )
 
 
 def test_line_objective_matches_direct_evaluation():

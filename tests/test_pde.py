@@ -1,9 +1,12 @@
 """Tests for grids, the Laplacian stencils, heat stepping, and field I/O."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from gcg._sparse_reference import (
@@ -24,6 +27,8 @@ from gcg.pde import (
     ResidualCheckError,
     SpaceTimeGrid,
     _Stencil,
+    _fixed_exponents,
+    _format_values,
     check_residual,
     field_header,
     group_l1_time,
@@ -474,7 +479,7 @@ def test_field_dump_matches_per_value_format(tmp_path, size):
     values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-17.0, 2.0, size)
     values[: len(special)] = special
     values[-len(special) :] = special  # across the chunk boundary when size > chunk
-    # +0.0 takes the template's "0" and every other value "%.17g"
+    # zeros print without formatting and every other value gets its digits
     no_zeros = values.copy()
     no_zeros[no_zeros == 0.0] = 1.5
     negative_zero_in_zeros = np.zeros(size)
@@ -498,6 +503,128 @@ def test_field_dump_matches_per_value_format(tmp_path, size):
         back = read_field(path).values
         np.testing.assert_array_equal(back, case)
         np.testing.assert_array_equal(np.signbit(back), np.signbit(case))
+
+
+def per_value_dump(values) -> bytes:
+    return "".join(f"{x:.17g}\n" for x in np.asarray(values).tolist()).encode()
+
+
+def test_field_dump_matches_per_value_format_on_a_million_values(tmp_path):
+    # random bit patterns span every exponent, subnormals included; the
+    # log-uniform half concentrates on the fixed-notation range and its
+    # edges at 1e-5 and 1e17
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 310_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert np.count_nonzero(np.abs(values) < np.finfo(float).smallest_normal) > 0
+    signs = rng.choice([-1.0, 1.0], 700_000)
+    spread = signs * 10.0 ** rng.uniform(-26.0, 26.0, signs.size)
+    values = np.concatenate([values, spread])
+    assert values.size >= 1_000_000
+    grid = Grid(values.size, 1)
+    path = tmp_path / "field.txt"
+    write_field(path, grid.field(values))
+    want = (field_header(grid) + "\n").encode() + per_value_dump(values)
+    assert path.read_bytes() == want
+
+
+def test_field_dump_at_powers_of_ten_and_notation_edges():
+    powers = [10.0**k for k in range(-6, 19)] + [float(10**k) for k in range(19)]
+    powers = np.array(powers)
+    cases = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    )
+    # scientific below 1e-4 and from 1e17 on, fixed in between
+    edges = [1e-5, 1e-4, 9.99999999999999e-5, 1.0000000000000001e-4, 1e16, 1e17]
+    edges += [99999999999999984.0, 99999999999999999.0, 9999999999999998.0]
+    # 17-digit carries: the rounded digits reach the next power of ten
+    carries = [np.nextafter(1e-3, 0.0), np.nextafter(1.0, 0.0), np.nextafter(0.1, 0.0)]
+    carries += [0.99999999999999999, 9.9999999999999999, 0.00099999999999999999]
+    cases = np.concatenate([cases, edges, carries])
+    cases = np.concatenate([cases, -cases])
+    assert _format_values(cases).encode() == per_value_dump(cases)
+
+
+def exact_exponent_and_digits(x: float) -> tuple[int, int]:
+    """%.17g's exponent X and digits D of x > 0, in rational arithmetic."""
+    a = Fraction(x)
+    e = math.floor(math.log10(x))
+    e += (Fraction(10) ** (e + 1) <= a) - (Fraction(10) ** e > a)
+    q = a * Fraction(10) ** (16 - e)
+    d = math.floor(q)
+    d += q - d > Fraction(1, 2) or (q - d == Fraction(1, 2) and d % 2 == 1)
+    return (e + 1, d // 10) if d == 10**17 else (e, d)
+
+
+def test_fixed_exponents_match_rational_arithmetic():
+    # six doubles either side of each power of ten, where floor(log10 x)
+    # can miss, and random values: every fixed row has the exact X and D,
+    # and only values next to a power of ten leave the fixed range to CPython
+    values = []
+    for k in range(-6, 19):
+        lo = hi = float(Fraction(10) ** k)
+        values.append(lo)
+        for _ in range(6):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+            values += [float(lo), float(hi)]
+    rng = np.random.default_rng(11)
+    values += (10.0 ** rng.uniform(-6.0, 18.0, 2000)).tolist()
+    fixed, x, d = _fixed_exponents(np.array(values))
+    for i, value in enumerate(values):
+        e, digits = exact_exponent_and_digits(value)
+        if fixed[i]:
+            assert (x[i], d[i]) == (e, digits), value
+        elif -4 <= e <= 16:
+            nearest = Fraction(10) ** round(math.log10(value))
+            assert abs(Fraction(value) / nearest - 1) < 1e-14, value
+    assert fixed.sum() > 1800
+
+
+def test_field_dump_rounds_ties_to_even():
+    # m 2**-(k + 1) with m odd: exact binary fractions, many of which sit
+    # exactly halfway between two 17-digit decimals
+    rng = np.random.default_rng(7)
+    m = rng.integers(2**49, 2**53, 200_000) | 1
+    k = rng.integers(0, 12, m.size)
+    values = np.ldexp(m.astype(np.float64), -(k + 1))
+    values = np.concatenate([values, -values])
+    ties = up = 0
+    for x in values[:4000].tolist():
+        digits = Decimal(x).as_tuple().digits
+        if len(digits) == 18 and digits[-1] == 5:
+            ties += 1
+            up += digits[-2] % 2  # an odd 17th digit rounds away from zero
+    assert ties > 500 and 0 < up < ties
+    assert _format_values(values).encode() == per_value_dump(values)
+
+
+def test_field_dump_zeros_and_fallback_rows_at_chunk_edges(tmp_path):
+    size = 2 * _DUMP_CHUNK + 3
+    values = np.full(size, 0.25)
+    fallback = [1e-300, -5e-324, 1e17, -1.5e22, 1e-5]
+    for edge in (_DUMP_CHUNK, 2 * _DUMP_CHUNK):
+        values[edge - 3 : edge + 2] = fallback
+        values[edge + 2] = -0.0
+    values[-1] = 0.0
+    grid = Grid(size, 1)
+    path = tmp_path / "field.txt"
+    for case in (values, -values, np.where(values == 0.25, 0.0, values)):
+        write_field(path, grid.field(case))
+        want = (field_header(grid) + "\n").encode() + per_value_dump(case)
+        assert path.read_bytes() == want
+    assert _format_values(np.array([0.0, -0.0])) == "0\n-0\n"
+    assert _format_values(np.zeros(0)) == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+    )
+)
+def test_field_dump_property_matches_per_value_format(values):
+    assert _format_values(np.array(values)).encode() == per_value_dump(values)
 
 
 def test_field_io_rejects_bad_headers(tmp_path):
