@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -33,8 +32,10 @@ class EllipticProblem(TrackingProblem):
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
     applies it in the stencil's sine basis.  g_along_bounds brackets the
-    penalty along a segment in closed form, so most backtracking probes
-    take a bisect and a few float operations instead of an O(N) sum.
+    penalty along a segment in closed form, exact up to the first sign
+    change and bounded below by the tangent beyond it, so most
+    backtracking probes take a few float operations instead of an O(N)
+    sum.
     g_eval, dual_norm and g_along_bounds share pde.l1_norm of each field
     through TrackingProblem._memo_norm, so one iteration sums m |u| over u
     and over v once each.
@@ -111,52 +112,42 @@ class EllipticProblem(TrackingProblem):
     def g_along_bounds(
         self, u: ControlField, du: np.ndarray
     ) -> Optional[Callable[[float], tuple[float, float]]]:
-        """Bracket [g - e, g + e] of the float g_along(u, du)(s) returns.
+        """Bracket [lo, hi] of the float g_along(u, du)(s) returns, s >= 0.
 
-        Along the segment, g(s) = beta sum_i m_i |u_i + s du_i| is piecewise
-        linear.  With tau_i = sign(u_i), or sign(du_i) where u_i = 0, node i
-        contributes m_i tau_i (u_i + s du_i) until its kink
-        t_i = |u_i| / |du_i|, which lies in (0, 1) exactly where
-        tau_i du_i < -|u_i|; after it, the opposite sign.  So with the kinks
-        sorted and k of them below s,
-
-            g(s) = beta ((a0 - 2 A_k) + s (b + 2 B_k)),
-
-        a0 = sum m |u| (pde.l1_norm, shared with g_eval, so g(0) is
-        g_eval(u) bit for bit), b = sum m tau du, and A_k, B_k the prefix
-        sums of m |u| and m |du| over the first k kinks: one bisect per
-        probe.
+        g(s) = beta sum_i m_i |u_i + s du_i| is convex.  With tau_i =
+        sign(u_i), or sign(du_i) where u_i = 0, node i contributes
+        m_i tau_i (u_i + s du_i) up to its kink t_i = |u_i| / |du_i|, where
+        tau_i du_i < 0.  So up to the first kink t1 = min t_i, g is the line
+        beta (a0 + s b), a0 = sum m |u| (pde.l1_norm, shared with g_eval, so
+        g(0) is g_eval(u) bit for bit) and b = sum m tau du.  The line is
+        g's tangent at 0+, so it bounds g from below beyond t1 too: the
+        bracket is [line - e, line + e] for s <= t1 and [line - e, inf)
+        after.
 
         Rounding bound.  Let u_r = eps / 2, U = sum m |u|, D = sum m |du|
         and S = U + s D.  A dot product of N terms carries an error of at
         most gamma_N = N u_r / (1 - N u_r) times the sum of the terms'
         magnitudes, in any summation order, fused or not (Higham,
-        Accuracy and Stability, sec. 3.1), and so does a cumulative sum of
-        K terms with gamma_K.  To first order in u_r:
+        Accuracy and Stability, sec. 3.1).  To first order in u_r:
 
         - the direct sum rounds s du_i and u_i + s du_i, so each
           |u_i + s du_i| is off by at most 2 u_r (|u_i| + s |du_i|); the
           dot adds gamma_N and the product with beta u_r: (N + 3) u_r S.
-        - the closed form: a0 and b are dots (N u_r U, N u_r D), 2 A_k and
-          2 B_k cumulative sums over K <= N kinks (2K u_r U, 2K u_r D),
-          and the two differences, the product with s, the sum and the
-          product with beta round five more times, each by at most u_r S.
-          A computed kink may sit one rounding from the true one; between
-          them node i takes the wrong sign, but there
-          |u_i + s du_i| <= u_r |u_i|, so that costs 2 u_r U.  In all
-          (N + 2K + 7) u_r S.
+        - the line: the dots a0 and b (N u_r S), then the product with s,
+          the sum and the product with beta (3 u_r S).  The computed t1 may
+          sit one rounding above the true one; a node i whose kink lies
+          below s <= fl(t1) <= fl(t_i) then takes the wrong sign, but
+          |u_i + s du_i| <= u_r |u_i| there: 2 u_r U.  In all (N + 5) u_r S.
 
-        The two differ by at most (2N + 2K + 10) u_r S <= (2N + 5) eps S.
-        The bracket takes e(s) = 4 (N + 16) eps beta S: c = 4 doubles the
-        first-order 2N, and k = 16 covers the constant, so a factor of 2
-        remains for the higher-order terms, for U and D being computed
-        sums themselves, and for the rounding of e and of g -/+ e.
+        The two differ by at most (2N + 8) u_r S = (N + 4) eps S.  The
+        bracket takes e(s) = 4 (N + 16) eps beta S, over four times that,
+        which covers the higher-order terms, U and D being computed sums
+        themselves, and the rounding of e and of line -/+ e.
 
         None when beta (U + D) is not finite, where the closed form could
         overflow and the direct sum not.
         """
         beta, mass, vals = self.reg_beta, u.mass, u.values
-        abs_u = np.abs(vals)
         a0 = self._memo_norm(u, l1_norm)
         tau_du = np.abs(du)
         d_sum = float(np.dot(mass, tau_du))
@@ -169,26 +160,14 @@ class EllipticProblem(TrackingProblem):
         signed_du = signed_du[opposite]
         tau_du[opposite] = signed_du
         slope = float(np.dot(mass, tau_du))
-
-        kinks, const, lin = [], [a0], [slope]
-        inside = signed_du < -abs_u[opposite]  # the kink lies in (0, 1)
-        if inside.any():
-            cross = opposite[inside]
-            abs_uc, abs_duc = abs_u[cross], -signed_du[inside]
-            t = abs_uc / abs_duc
-            order = np.argsort(t, kind="stable")
-            m = mass[cross][order]
-            kinks = t[order].tolist()
-            const += (a0 - 2.0 * np.cumsum(m * abs_uc[order])).tolist()
-            lin += (slope + 2.0 * np.cumsum(m * abs_duc[order])).tolist()
+        t1 = float(np.min(np.abs(vals[opposite]) / -signed_du, initial=math.inf))
         scale = 4.0 * (vals.size + 16) * sys.float_info.epsilon * beta
         e0, e1 = scale * a0, scale * d_sum
 
         def bounds(s: float) -> tuple[float, float]:
-            k = bisect_left(kinks, s)
-            g = beta * (const[k] + s * lin[k])
+            g = beta * (a0 + s * slope)
             e = e0 + s * e1
-            return g - e, g + e
+            return g - e, (g + e if s <= t1 else math.inf)
 
         return bounds
 

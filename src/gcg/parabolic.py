@@ -39,7 +39,8 @@ class ParabolicProblem(TrackingProblem):
 
     g_eval, dual_norm and g_along share the squared slice norms
     slice_sq_norms of each field through TrackingProblem._memo_norm, so
-    one iteration takes those norms of u and of v once each.
+    one iteration takes those norms of u and of v once each; the report's
+    growth_measure and structure read them there too, once per field.
     """
 
     grid: SpaceTimeGrid
@@ -66,9 +67,13 @@ class ParabolicProblem(TrackingProblem):
     def solve_adjoint(self, values: np.ndarray) -> np.ndarray:
         return self.heat.adjoint(self.grid.as_slices(values)).ravel()
 
+    def _slice_norms(self, u: ControlField) -> np.ndarray:
+        """slice_l2_norms(u), the square root of the memo's squared norms."""
+        return np.sqrt(self._memo_norm(u, slice_sq_norms))
+
     def g_eval(self, u: ControlField) -> float:
         """Weighted time-l1 of slice norms; infinite outside the slice ball."""
-        norms = np.sqrt(self._memo_norm(u, slice_sq_norms))
+        norms = self._slice_norms(u)
         tol = 1e-12 * max(1.0, self.ball_radius)
         if np.any(norms > self.ball_radius + tol):
             return math.inf
@@ -89,8 +94,7 @@ class ParabolicProblem(TrackingProblem):
 
     def dual_norm(self, u: ControlField) -> float:
         """Time integral of the slice norms, as pde.group_l1_time."""
-        sq = self._memo_norm(u, slice_sq_norms)
-        return float(self.grid.tau * np.sqrt(sq).sum())
+        return float(self.grid.tau * self._slice_norms(u).sum())
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """Group term of u + s du: per slice, the square root of a quadratic
@@ -126,7 +130,7 @@ class ParabolicProblem(TrackingProblem):
         """Time measure of the near-threshold set { | |p(t)| - reg_alpha | <= eps }."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        band = np.abs(slice_l2_norms(p) - self.reg_alpha) <= eps
+        band = np.abs(self._slice_norms(p) - self.reg_alpha) <= eps
         return float(self.grid.tau * np.count_nonzero(band))
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
@@ -135,14 +139,14 @@ class ParabolicProblem(TrackingProblem):
         time_sparsity_fraction: fraction of time slices where |u(t)| lies
         within 1e-6 * max(1, M) of {0, M}.
         """
-        norms = slice_l2_norms(u)
+        norms = self._slice_norms(u)
         m = self.ball_radius
         atol = 1e-6 * max(1.0, m)
         on_vertex = np.minimum(norms, np.abs(norms - m)) <= atol
         return {
             "time_sparsity_fraction": float(np.count_nonzero(on_vertex)) / norms.size,
             "control_norm_max": float(np.max(norms)),
-            "adjoint_norm_max": float(np.max(slice_l2_norms(p))),
+            "adjoint_norm_max": float(np.max(self._slice_norms(p))),
         }
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:

@@ -340,3 +340,31 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     y = prob.sample_feasible(rng)
     assert prob.dual_norm(y) == group_l1_time(y)
     assert passes_over(y)
+
+
+def test_report_reads_slice_norms_from_the_memo(monkeypatch):
+    # growth_measure at every eps and structure take the slice norms of p
+    # and of u once each, with the floats of slice_l2_norms
+    prob = make_example("parabolic-ex", 6, 9)
+    u = prob.sample_feasible(np.random.default_rng(31))
+    _, p = prob.f_and_grad(u)
+    passes = []
+
+    def counted(field):
+        passes.append(field)
+        return slice_sq_norms(field)
+
+    monkeypatch.setattr("gcg.parabolic.slice_sq_norms", counted)
+    epsilons = [2.0**-k for k in range(1, 19)]
+    measures = [prob.growth_measure(p, eps) for eps in epsilons]
+    rep = prob.structure(u, p)
+    assert len(passes) == 2 and passes[0] is p and passes[1] is u
+
+    p_norms, u_norms = slice_l2_norms(p), slice_l2_norms(u)
+    band = np.abs(p_norms - prob.reg_alpha)
+    assert measures == [
+        float(prob.grid.tau * np.count_nonzero(band <= eps)) for eps in epsilons
+    ]
+    assert any(measures)
+    assert rep["control_norm_max"] == float(np.max(u_norms))
+    assert rep["adjoint_norm_max"] == float(np.max(p_norms))

@@ -320,6 +320,7 @@ def test_enclosure_holds_around_kinks():
     lower, upper = prob.lower.values, prob.upper.values
     rng = np.random.default_rng(103)
     n = lower.size
+    eps = np.finfo(float).eps
     for trial in range(40):
         mass = rng.uniform(0.01, 3.0, n) * 10.0 ** rng.integers(-3, 2)
         vals = rng.uniform(lower, upper)
@@ -332,14 +333,25 @@ def test_enclosure_holds_around_kinks():
         kinks = -vals / np.where(du == 0.0, 1.0, du)
         kinks = kinks[(vals * du < 0.0) & (kinks < 1.0)]
         assert kinks.size >= 3
+        t1 = kinks.min()
         steps = [0.0, 1.0, *rng.random(8)]
-        for t in rng.choice(kinks, min(kinks.size, 6), replace=False):
+        for t in [t1, *rng.choice(kinks, min(kinks.size, 6), replace=False)]:
             steps += [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
-        bracket_contains(prob, u, du, steps)
+        brackets = bracket_contains(prob, u, du, steps)
+        # tight up to the first kink, e(s) = 4 (N + 16) eps beta S, and
+        # open above beyond it
+        scale = 4 * (n + 16) * eps * prob.reg_beta
+        for s, (lo, hi) in zip(steps, brackets):
+            if s <= t1:
+                e = scale * (mass @ np.abs(vals) + s * (mass @ np.abs(du)))
+                assert hi - lo <= 2 * e * (1 + 1e-12) + 4 * np.spacing(hi), s
+            else:
+                assert hi == np.inf, s
 
 
 def test_enclosure_hand_case_with_two_kinks():
-    # beta (0.5 |1 - 4s| + 0.25 |4s - 3| + 2 * 2): kinks at s = 1/4 and 3/4
+    # beta (0.5 |1 - 4s| + 0.25 |4s - 3| + 2 * 2): kinks at s = 1/4 and 3/4;
+    # up to the first, g is the line beta (5.25 - 3 s)
     grid = Grid(3, 1)
     prob = elliptic.EllipticProblem(
         grid=grid,
@@ -351,15 +363,24 @@ def test_enclosure_hand_case_with_two_kinks():
     mass = np.array([0.5, 0.25, 2.0])
     u = ControlField(np.array([1.0, -3.0, 2.0]), mass)
     du = np.array([-3.0, 1.0, 2.0]) - u.values
-    exact = {0.0: 5.25, 0.25: 4.5, 0.5: 4.75, 0.75: 5.0, 1.0: 5.75}
+    exact = {0.0: 5.25, 0.125: 4.875, 0.25: 4.5, 0.5: 4.75, 0.75: 5.0, 1.0: 5.75}
     brackets = bracket_contains(prob, u, du, list(exact))
     eps = np.finfo(float).eps
     for (s, g), (lo, hi) in zip(exact.items(), brackets):
         assert prob.g_along(u, du)(s) == 0.5 * g
         # e(s) = 4 (N + 16) eps beta (sum m |u| + s sum m |du|)
         e = 4 * (3 + 16) * eps * 0.5 * (5.25 + s * 3.0)
-        assert lo < 0.5 * g < hi
-        assert hi - lo == pytest.approx(2 * e, rel=1e-12)
+        line = 0.5 * (5.25 - 3.0 * s)
+        if s <= 0.25:
+            assert line == 0.5 * g
+            assert lo < 0.5 * g < hi
+            assert (lo + hi) / 2 == 0.5 * g
+            assert hi - lo == pytest.approx(2 * e, rel=1e-12)
+        else:
+            # the tangent at 0 bounds g from below; no upper end
+            assert line < 0.5 * g
+            assert abs(lo - (line - e)) <= 2 * np.spacing(line)
+            assert hi == np.inf
     # at s = 0 the closed form is g_eval(u) bit for bit
     e0 = 4 * (3 + 16) * eps * 0.5 * 5.25
     assert brackets[0] == (prob.g_eval(u) - e0, prob.g_eval(u) + e0)
