@@ -190,12 +190,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_history_csv(path: Path, history) -> None:
+def _write_history_csv(path: Path, history, errors) -> None:
     lines = ["k,j,gap,step,backtracks,err_u,err_v"]
     for rec in history:
+        err_u, err_v = errors.get(rec.k, (None, None))
         lines.append(
             f"{rec.k},{_fmt(rec.j_value)},{_fmt(rec.gap)},{_fmt(rec.step)},"
-            f"{rec.backtracks},{_fmt(rec.err_u)},{_fmt(rec.err_v)}"
+            f"{rec.backtracks},{_fmt(err_u)},{_fmt(err_v)}"
         )
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -222,10 +223,18 @@ def run(config: RunConfig) -> int:
         return 1
 
     composite = prob.composite()
+    errors = {}  # k -> dual-norm distances of u and v to the reference
     try:
         if config.track_errors:
             reference = gcg_solve(composite, u0, solver_config).final_iterate
-            solver_config = replace(solver_config, record_errors_against=reference)
+
+            def record_errors(record, u, v):
+                errors[record.k] = (
+                    composite.dual_norm(u.diff(reference)),
+                    composite.dual_norm(v.diff(reference)),
+                )
+
+            solver_config = replace(solver_config, callback=record_errors)
         result = gcg_solve(composite, u0, solver_config)
         if config.diagnostics:
             report = diag.run_report(prob, result, config.alpha, config.gamma)
@@ -236,7 +245,7 @@ def run(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_history_csv(out_dir / "history.csv", result.history)
+        _write_history_csv(out_dir / "history.csv", result.history, errors)
         write_field(out_dir / "control.txt", result.final_iterate)
         if config.diagnostics:
             text = "".join(f"{k} = {_report_text(v)}\n" for k, v in report.items())

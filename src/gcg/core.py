@@ -143,8 +143,8 @@ class CompositeProblem:
     callable s -> (lo, hi) with lo <= phi(s) <= hi, where phi(s) is the
     float phi returns.  armijo_step decides a probe from the bracket
     whenever the bracket lies on one side of the decrease target, and
-    calls phi only when it straddles it, so the decisions, and with them
-    the steps, are those of phi itself.
+    calls phi only for a probe whose bracket straddles it, so the
+    decisions, and with them the steps, are those of phi itself.
     """
 
     smooth_eval: Callable[[ControlField], tuple[float, ControlField]]
@@ -188,12 +188,16 @@ class ArmijoParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and instrumentation settings for gcg_solve."""
+    """Termination and instrumentation settings for gcg_solve.
+
+    callback(record, u, v) sees each history row as it is recorded, with
+    the iterate u and oracle point v of that row; a caller that wants more
+    per-row figures, such as errors against a reference, takes them there.
+    """
 
     gap_tol: float = 1e-10
     max_iter: int = 1000
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    record_errors_against: Optional[ControlField] = None
     callback: Optional[Callable[["IterateRecord", ControlField, ControlField], None]] = None
 
     def __post_init__(self):
@@ -210,8 +214,7 @@ class IterateRecord:
     Terminal rows (gap below tolerance, iteration cap, or failed search) have
     step 0.0 since no step was taken; a failed search records in backtracks
     the exponent where it stopped (LineSearchError.exponent), the other
-    terminal rows 0.  err_u / err_v are dual-norm distances
-    to a reference control and stay None unless error recording is on.
+    terminal rows 0.
     """
 
     k: int
@@ -219,8 +222,6 @@ class IterateRecord:
     gap: float
     step: float
     backtracks: int
-    err_u: Optional[float] = None
-    err_v: Optional[float] = None
 
 
 class SolveStatus(enum.Enum):
@@ -297,12 +298,12 @@ def armijo_step(
     gap: float,
     problem: CompositeProblem,
     params: ArmijoParams,
-    j_u: Optional[float] = None,
-) -> tuple[float, int, float]:
+    j_u: float,
+) -> tuple[float, int]:
     """Smallest n with alpha * gamma**n * gap <= j(u) - j(u + gamma**n (v-u)).
 
-    Returns (step, n, j_new) with step = gamma**n and j_new the objective
-    there.  Requires gap > 0.
+    Returns (step, n) with step = gamma**n.  j_u is j(u), which the caller
+    already has.  Requires gap > 0.
 
     An upward scan from n = 0 would stop at the first n where the test
     passes, where the decrease target alpha * gamma**n * gap underflows to
@@ -324,25 +325,22 @@ def armijo_step(
     returned step, and whenever n > 0 it fails at step / gamma.
 
     When the problem gives a line_enclosure, a probe first takes the
-    bracket lo <= phi(s) <= hi.  The computed test target <= j0 - j_s is
+    bracket lo <= phi(s) <= hi.  The computed test target <= j_u - j_s is
     monotone in j_s, since rounding is, so it passes for every j_s in the
-    bracket when target <= j0 - hi, and fails for every one when
-    target <= j0 - lo fails.  Only a bracket that straddles the target
-    calls phi.  Every decision is thus the one phi would give, the search
-    visits the same exponents and raises at the same one, and j_new is
-    phi(step), priced once more if the bracket decided the accepting probe.
+    bracket when target <= j_u - hi, and fails for every one when
+    target <= j_u - lo fails.  Only a bracket that straddles the target
+    calls phi.  Every decision is thus the one phi would give, and the
+    search visits the same exponents and raises at the same one.
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
     phi = _segment_objective(problem, u, v)
-    j0 = phi(0.0) if j_u is None else j_u
     enclosure = None
     if problem.line_enclosure is not None:
         enclosure = problem.line_enclosure(u, v)
     alpha, gamma = params.alpha, params.gamma
     budget = params.max_backtracks
     limit = math.inf if budget is None else budget + 1
-    priced: dict[int, float] = {}  # n -> phi(gamma**n) for every call of phi
 
     def stops_at(n: int) -> tuple[bool, bool]:
         """Whether the scan stops at n, and whether the test passes there."""
@@ -357,16 +355,15 @@ def armijo_step(
             return True, False
         if enclosure is not None:
             j_lo, j_hi = enclosure(s)
-            if target <= j0 - j_hi:
+            if target <= j_u - j_hi:
                 return True, True
-            if not target <= j0 - j_lo:
+            if not target <= j_u - j_lo:
                 return False, False
-        j_s = priced[n] = phi(s)
-        passed = target <= j0 - j_s
+        passed = target <= j_u - phi(s)
         return passed, passed
 
     # the last n with gamma**n * gap above the rounding of j(u)
-    ratio = 8.0 * sys.float_info.epsilon * abs(j0) / gap
+    ratio = 8.0 * sys.float_info.epsilon * abs(j_u) / gap
     edge = -1
     if 0.0 < ratio < 1.0:
         edge = math.ceil(math.log(ratio) / math.log(gamma)) - 1
@@ -391,9 +388,7 @@ def armijo_step(
             "the gap is at rounding level or an oracle is inconsistent",
             hi,
         )
-    step = gamma**hi
-    j_new = priced[hi] if hi in priced else phi(step)
-    return step, hi, j_new
+    return gamma**hi, hi
 
 
 def gcg_solve(
@@ -422,7 +417,6 @@ def gcg_solve(
         raise ValueError("starting control is infeasible for the nonsmooth term")
     f_u, grad = problem.smooth_eval(u0)
     eps_fp = 1e-12 * (abs(f_u + g_u) + 1.0)
-    ref = config.record_errors_against
     advance = ControlField.blend if problem.step is None else problem.step
 
     u = u0
@@ -445,9 +439,7 @@ def gcg_solve(
             status = SolveStatus.MAX_ITER_REACHED
         else:
             try:
-                step, n_back, _ = armijo_step(
-                    u, v, gap, problem, config.armijo, j_u=j_u
-                )
+                step, n_back = armijo_step(u, v, gap, problem, config.armijo, j_u)
                 status = None
             except LineSearchError as exc:
                 n_back = exc.exponent
@@ -461,11 +453,7 @@ def gcg_solve(
             continue
 
         mstar = max(mstar, problem.dual_norm(u), problem.dual_norm(v))
-        err_u = err_v = None
-        if ref is not None:
-            err_u = problem.dual_norm(u.diff(ref))
-            err_v = problem.dual_norm(v.diff(ref))
-        record = IterateRecord(k, j_u, gap, step, n_back, err_u, err_v)
+        record = IterateRecord(k, j_u, gap, step, n_back)
         history.append(record)
         if config.callback is not None:
             config.callback(record, u, v)

@@ -177,32 +177,29 @@ def recursion_oracle_48(
     return np.array(h), violation
 
 
-def rate_fit_window(
-    residuals,
-    eps_fp: float = 0.0,
-    tail_decades: float = 2.0,
-    burn_in: float = 0.2,
-) -> np.ndarray:
+RATE_FIT_TAIL_DECADES = 2.0
+RATE_FIT_BURN_IN = 0.2
+
+
+def rate_fit_window(residuals, eps_fp: float = 0.0) -> np.ndarray:
     """Indices of the residual history suitable for an asymptotic rate fit.
 
     Three cuts are applied in order.  Records at or below ``10 * eps_fp``
-    carry no signal and are dropped.  Records within ``tail_decades``
+    carry no signal and are dropped.  Records within RATE_FIT_TAIL_DECADES
     decades of the smallest positive residual are dropped because the
     reference value, taken from the end of the tightest run, contaminates
-    them.  Finally the first ``burn_in`` fraction of the remaining records
-    is dropped as transient: a solve started far from the solution spends
-    its first iterations in a regime whose decay says nothing about the
-    asymptotic rate.
+    them.  Finally the first RATE_FIT_BURN_IN fraction of the remaining
+    records is dropped as transient: a solve started far from the solution
+    spends its first iterations in a regime whose decay says nothing about
+    the asymptotic rate.
     """
-    if not 0.0 <= burn_in < 1.0:
-        raise ValueError(f"burn_in must lie in [0, 1), got {burn_in!r}")
     r = np.asarray(residuals, dtype=float)
     positive = r > 0.0
     if not positive.any():
         return np.empty(0, dtype=int)
-    floor = r[positive].min() * 10.0**tail_decades
+    floor = r[positive].min() * 10.0**RATE_FIT_TAIL_DECADES
     keep = np.nonzero((r > 10.0 * eps_fp) & (r >= floor))[0]
-    drop = int(np.floor(burn_in * keep.size))
+    drop = int(np.floor(RATE_FIT_BURN_IN * keep.size))
     return keep[drop:]
 
 

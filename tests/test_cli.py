@@ -176,6 +176,8 @@ def test_track_errors_populates_columns(tmp_path, capsys):
         line.split(",")
         for line in (tmp_path / "history.csv").read_text().strip().splitlines()[1:]
     ]
+    # both columns on every row, from the callback of the second solve
+    assert all(row[5] and row[6] for row in rows)
     errs = [float(row[5]) for row in rows]
     assert errs[0] > 0.0  # zero start vs the reference solution
     assert errs[-1] <= errs[0]

@@ -145,15 +145,16 @@ def test_armijo_full_step():
     # condition 2s <= 4s - 2s^2 holds for every s <= 1, so n = 0
     prob = scalar_problem(1.0)
     u, v = field(-1.0), field(1.0)
-    step, n, j_new = armijo_step(u, v, 4.0, prob, ArmijoParams(0.5, 0.5))
-    assert (step, n, j_new) == (1.0, 0, 0.0)
+    step, n = armijo_step(u, v, 4.0, prob, ArmijoParams(0.5, 0.5), 2.0)
+    assert (step, n) == (1.0, 0)
+    assert segment_phi(prob, u, v)(step) == 0.0
 
 
 def test_armijo_one_backtrack():
     # f(u) = u^2/2 at u=1 towards v=-1: condition s <= 2s - 2s^2 iff s <= 1/2
     prob = scalar_problem(0.0)
     u, v = field(1.0), field(-1.0)
-    step, n, _ = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.5))
+    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.5), 0.5)
     assert (step, n) == (0.5, 1)
 
 
@@ -183,11 +184,10 @@ def counting(problem, probes):
     return dataclasses.replace(problem, line_objective=line_objective)
 
 
-def scan_tests(u, v, gap, problem, params, j_u=None):
+def scan_tests(u, v, gap, problem, params, j_u):
     """The test at n = 0, 1, 2, ... as (step, j, passed), until the scan stops
     for a reason other than a pass: the target underflows or the budget ends."""
     phi = segment_phi(problem, u, v)
-    j0 = phi(0.0) if j_u is None else j_u
     budget = params.max_backtracks
     for n in itertools.count() if budget is None else range(budget + 1):
         s = params.gamma**n
@@ -195,15 +195,15 @@ def scan_tests(u, v, gap, problem, params, j_u=None):
         if target == 0.0:
             return
         j_s = phi(s)
-        yield s, j_s, target <= j0 - j_s
+        yield s, j_s, target <= j_u - j_s
 
 
-def scan_armijo_step(u, v, gap, problem, params, j_u=None):
+def scan_armijo_step(u, v, gap, problem, params, j_u):
     """Reference: the linear scan over n = 0, 1, 2, ... that armijo_step replaced."""
     n = -1
-    for n, (s, j_s, passed) in enumerate(scan_tests(u, v, gap, problem, params, j_u)):
+    for n, (s, _, passed) in enumerate(scan_tests(u, v, gap, problem, params, j_u)):
         if passed:
-            return s, n, j_s
+            return s, n
     raise LineSearchError("reference scan exhausted", n + 1)
 
 
@@ -214,9 +214,10 @@ def search_outcome(search, *args, **kwargs):
         return LineSearchError
 
 
-def assert_matches_scan(u, v, gap, problem, params, j_u=None):
-    got = search_outcome(armijo_step, u, v, gap, problem, params, j_u=j_u)
-    want = search_outcome(scan_armijo_step, u, v, gap, problem, params, j_u=j_u)
+def assert_matches_scan(u, v, gap, problem, params):
+    j_u = segment_phi(problem, u, v)(0.0)
+    got = search_outcome(armijo_step, u, v, gap, problem, params, j_u)
+    want = search_outcome(scan_armijo_step, u, v, gap, problem, params, j_u)
     assert got == want
     return got
 
@@ -225,17 +226,17 @@ def test_armijo_gamma_099_takes_69_trials():
     probes = []
     prob = counting(scalar_problem(0.0), probes)
     u, v = field(1.0), field(-1.0)
-    step, n, _ = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.99))
+    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.99), 0.5)
     assert n == 69 == math.ceil(math.log(0.5) / math.log(0.99))
     assert step == 0.99**69
-    # a scan from n = 0 would make 71 probes, counting the one at s = 0
+    # a scan from n = 0 would make 70 probes
     assert len(probes) <= 2 * math.ceil(math.log2(n + 1)) + 1
 
 
 def test_armijo_requires_positive_gap():
     prob = scalar_problem(0.0)
     with pytest.raises(ValueError):
-        armijo_step(field(1.0), field(-1.0), 0.0, prob, ArmijoParams())
+        armijo_step(field(1.0), field(-1.0), 0.0, prob, ArmijoParams(), 0.5)
 
 
 def test_armijo_exhaustion_raises():
@@ -243,7 +244,7 @@ def test_armijo_exhaustion_raises():
     prob = scalar_problem(0.0)
     u = field(0.5)
     with pytest.raises(LineSearchError) as raised:
-        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=12))
+        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=12), 0.125)
     assert raised.value.exponent == 13  # the first exponent past the budget
 
 
@@ -256,7 +257,7 @@ def test_armijo_step_underflow_raises():
     prob = counting(scalar_problem(0.0), probes)
     u = field(0.5)
     with pytest.raises(LineSearchError) as raised:
-        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=5000))
+        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=5000), 0.125)
     assert raised.value.exponent == 1074
     # the target 0.5 * 0.5**n first underflows at n = 1074; a scan probes
     # every n below that
@@ -270,7 +271,7 @@ def test_default_budget_reaches_short_steps():
     assert ArmijoParams().max_backtracks is None
     gamma = 0.9999999
     prob, u, v = scalar_problem(0.0), field(1.0), field(-1.0)
-    step, n, _ = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, gamma))
+    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, gamma), 0.5)
     assert step == gamma**n and 6_000_000 < n < 8_000_000
     phi = segment_phi(prob, u, v)
     assert 0.5 * step * 2.0 <= phi(0.0) - phi(step)
@@ -300,14 +301,14 @@ def test_armijo_matches_scan_on_edge_cases():
     full = scalar_problem(1.0)
     assert assert_matches_scan(
         field(-1.0), field(1.0), 4.0, full, ArmijoParams(0.5, 0.5)
-    ) == (1.0, 0, 0.0)
+    ) == (1.0, 0)
     # f = u^2/2 from u = 1 towards v = -7 with gap 8: the test reads
     # 4s <= 8s - 32s^2, which holds with equality at s = 1/8 = 0.5**3
     wide = scalar_problem(0.0, lower=-8.0)
     u, v = field(1.0), field(-7.0)
     tie = assert_matches_scan(u, v, 8.0, wide, ArmijoParams(0.5, 0.5))
-    assert tie == (0.125, 3, 0.0)
-    assert 0.5 * 0.125 * 8.0 == 0.5 - tie[2]  # j(u) = 0.5
+    assert tie == (0.125, 3)
+    assert 0.5 * 0.125 * 8.0 == 0.5 - segment_phi(wide, u, v)(0.125)  # j(u) = 0.5
     # the minimal n exactly at the budget returns; one above it raises
     for budget, want in ((3, tie), (2, LineSearchError)):
         params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
@@ -332,12 +333,11 @@ def test_armijo_matches_scan_on_edge_cases():
     # the decrease is 2 eps against j(u) = 0.5, and the test still passes
     eps = float(np.finfo(float).eps)
     at_rounding = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, eps, 1))
-    assert at_rounding == (eps, 1, 0.5 - 2.0 * eps)
+    assert at_rounding == (eps, 1)
+    assert segment_phi(prob, u, v)(eps) == 0.5 - 2.0 * eps
     # u == v: no decrease at any step, so the target underflows and both raise
     same = field(0.5)
-    for j_u in (None, 0.125):
-        got = assert_matches_scan(same, same, 1.0, prob, ArmijoParams(0.5, 0.5), j_u=j_u)
-        assert got is LineSearchError
+    assert assert_matches_scan(same, same, 1.0, prob, ArmijoParams(0.5, 0.5)) is LineSearchError
 
 
 @st.composite
@@ -371,17 +371,16 @@ def convex_segment(draw):
     alpha=st.floats(0.0, 0.5, exclude_min=True),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     budget=st.integers(1, 3000),
-    pass_j_u=st.booleans(),
 )
-def test_armijo_matches_linear_scan(segment, alpha, gamma, budget, pass_j_u):
+def test_armijo_matches_linear_scan(segment, alpha, gamma, budget):
     prob, u, v, gap = segment
     assume(math.isfinite(gap) and gap > 0.0)
-    j_u = segment_phi(prob, u, v)(0.0) if pass_j_u else None
+    j_u = segment_phi(prob, u, v)(0.0)
     params = ArmijoParams(alpha, gamma, budget)
     tests = list(scan_tests(u, v, gap, prob, params, j_u))
     passes = [passed for _, _, passed in tests]
     first = passes.index(True) if True in passes else len(passes)
-    got = search_outcome(armijo_step, u, v, gap, prob, params, j_u=j_u)
+    got = search_outcome(armijo_step, u, v, gap, prob, params, j_u)
     if all(passes[first:]):
         # the computed test is monotone in n, as it is in exact arithmetic
         assert got == search_outcome(scan_armijo_step, u, v, gap, prob, params, j_u)
@@ -392,8 +391,8 @@ def test_armijo_matches_linear_scan(segment, alpha, gamma, budget, pass_j_u):
         assert not passes[-1]
     else:
         # ... and where it returns, it keeps the backtracking contract
-        step, n, j_new = got
-        assert tests[n] == (step, j_new, True)
+        step, n = got
+        assert (tests[n][0], tests[n][2]) == (step, True)
         assert n == 0 or not passes[n - 1]
 
 
@@ -414,10 +413,10 @@ def bracketed(problem, delta, calls):
     return dataclasses.replace(counting(problem, calls), line_enclosure=line_enclosure)
 
 
-def search_result(u, v, gap, problem, params, j_u=None):
-    """(step, n, j_new), or the exponent of the LineSearchError raised."""
+def search_result(u, v, gap, problem, params, j_u):
+    """(step, n), or the exponent of the LineSearchError raised."""
     try:
-        return armijo_step(u, v, gap, problem, params, j_u=j_u)
+        return armijo_step(u, v, gap, problem, params, j_u)
     except LineSearchError as exc:
         return ("raised", exc.exponent)
 
@@ -431,7 +430,7 @@ def enclosure_deltas(seed):
     }
 
 
-def assert_enclosure_keeps_the_search(u, v, gap, problem, params, delta, j_u=None):
+def assert_enclosure_keeps_the_search(u, v, gap, problem, params, delta, j_u):
     direct_calls, calls = [], []
     direct = counting(problem, direct_calls)
     want = search_result(u, v, gap, direct, params, j_u)
@@ -450,34 +449,34 @@ def scalar_search_cases():
     eps = float(np.finfo(float).eps)
     wide = scalar_problem(0.0, lower=-8.0)
     cases = [
-        (field(-1.0), one, 4.0, scalar_problem(1.0), ArmijoParams(0.5, 0.5), None),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5), None),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99), None),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 69), 0.5),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 68), None),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, eps, 1), None),
-        (e4, e4.with_values(-e4.values), 2.0, quad, ArmijoParams(0.5, 1e-10, 2), None),
-        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 12), None),
-        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 5000), 0.125),
+        (field(-1.0), one, 4.0, scalar_problem(1.0), ArmijoParams(0.5, 0.5)),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5)),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99)),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 69)),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 68)),
+        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, eps, 1)),
+        (e4, e4.with_values(-e4.values), 2.0, quad, ArmijoParams(0.5, 1e-10, 2)),
+        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 12)),
+        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 5000)),
     ]
     for budget in (None, 3, 2):
         params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
-        cases.append((one, field(-7.0), 8.0, wide, params, None))
-    return cases
+        cases.append((one, field(-7.0), 8.0, wide, params))
+    return [(*case, segment_phi(case[3], case[0], case[1])(0.0)) for case in cases]
 
 
 @pytest.mark.parametrize("kind", ["exact", "random", "wide"])
 def test_enclosure_keeps_every_scalar_search(kind):
-    # the same step, exponent and j_new, or the same exponent raised, as the
-    # search that prices every probe; an exact bracket leaves phi only j_new
-    # (and j(u) where j_u is not given), a wide one leaves it every probe
+    # the same step and exponent, or the same exponent raised, as the search
+    # that prices every probe; an exact bracket decides every probe alone, a
+    # wide one leaves phi every probe
     delta = enclosure_deltas(11)[kind]
     for u, v, gap, problem, params, j_u in scalar_search_cases():
         direct, bracketed_calls = assert_enclosure_keeps_the_search(
             u, v, gap, problem, params, delta, j_u
         )
         if kind == "exact":
-            assert bracketed_calls <= 1 + (j_u is None)
+            assert bracketed_calls == 0
         elif kind == "wide":
             assert bracketed_calls == direct
 
@@ -660,6 +659,7 @@ def test_mstar_covers_iterates_and_oracle_points():
 
 
 def test_error_recording_against_reference():
+    # errors against a reference, taken by the callback
     rng = np.random.default_rng(83)
     prob, zero = boxed_l1_problem(rng, 5)
     fast = ArmijoParams(0.5, 0.7)
@@ -667,21 +667,20 @@ def test_error_recording_against_reference():
         prob, zero, SolverConfig(gap_tol=1e-13, max_iter=2000, armijo=fast)
     )
     ref = tight.final_iterate
-    result = gcg_solve(
-        prob,
-        zero,
-        SolverConfig(
-            gap_tol=1e-10, max_iter=500, armijo=fast, record_errors_against=ref
-        ),
-    )
-    errs = [rec.err_u for rec in result.history]
-    assert all(e is not None and e >= 0.0 for e in errs)
+    errors = {}
+
+    def record_errors(rec, u, v):
+        errors[rec.k] = (prob.dual_norm(u.diff(ref)), prob.dual_norm(v.diff(ref)))
+
+    config = SolverConfig(gap_tol=1e-10, max_iter=500, armijo=fast)
+    result = gcg_solve(prob, zero, dataclasses.replace(config, callback=record_errors))
+    # one entry per row, and the callback leaves the run as it is
+    assert sorted(errors) == [rec.k for rec in result.history]
+    assert result.history == gcg_solve(prob, zero, config).history
+    errs = [errors[rec.k][0] for rec in result.history]
+    assert all(e >= 0.0 for e in errs)
     assert errs[0] == prob.dual_norm(zero.diff(ref))
     assert errs[-1] <= errs[0]
-    plain = gcg_solve(
-        prob, zero, SolverConfig(gap_tol=1e-10, max_iter=500, armijo=fast)
-    )
-    assert all(rec.err_u is None and rec.err_v is None for rec in plain.history)
 
 
 def test_control_field_validation():

@@ -8,6 +8,8 @@ import pytest
 from gcg import elliptic
 from gcg.core import IterateRecord, SolverConfig, gcg_solve
 from gcg.diagnostics import (
+    RATE_FIT_BURN_IN,
+    RATE_FIT_TAIL_DECADES,
     check_envelope,
     envelope_q,
     fit_kappa,
@@ -177,22 +179,25 @@ def test_recursion_48_validation():
 
 
 def test_rate_fit_window_hand_case():
+    assert (RATE_FIT_TAIL_DECADES, RATE_FIT_BURN_IN) == (2.0, 0.2)
     r = [10.0**-i for i in range(13)]
     # tail floor: two decades above the smallest positive entry keeps
-    # indices 0..10; eps floor removes nothing extra; burn-in drops 2
+    # indices 0..10; eps floor removes nothing extra; burn-in drops
+    # floor(0.2 * 11) = 2
     window = rate_fit_window(r, eps_fp=1e-13)
     np.testing.assert_array_equal(window, np.arange(2, 11))
+    # without the tail cut's two records, burn-in drops floor(0.2 * 9) = 1
+    np.testing.assert_array_equal(rate_fit_window(r[:11], eps_fp=1e-13), np.arange(1, 9))
 
 
 def test_rate_fit_window_skips_zero_and_noise_records():
     r = [1.0, 0.1, 5e-13, 0.0]
-    window = rate_fit_window(r, eps_fp=1e-12, tail_decades=2.0, burn_in=0.0)
+    window = rate_fit_window(r, eps_fp=1e-12)
     # 5e-13 < 10*eps and 0.0 is not positive; 0.1 is within two decades of
-    # the smallest positive record 5e-13? no: floor = 5e-11, both survive
+    # the smallest positive record 5e-13? no: floor = 5e-11, both survive,
+    # and burn-in drops floor(0.2 * 2) = 0 of them
     np.testing.assert_array_equal(window, [0, 1])
     assert rate_fit_window([0.0, 0.0]).size == 0
-    with pytest.raises(ValueError):
-        rate_fit_window(r, burn_in=1.0)
 
 
 def test_fit_rate_recovers_geometric_decay():

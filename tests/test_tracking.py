@@ -153,7 +153,7 @@ def test_final_row_comes_from_a_fresh_evaluation(stop):
     assert np.array_equal(result.final_gradient.values, p.values)
     if status is SolveStatus.LINE_SEARCH_FAILED:
         with pytest.raises(LineSearchError) as failed:
-            armijo_step(u, v, gap, fresh.composite(), ArmijoParams(), j_u=last.j_value)
+            armijo_step(u, v, gap, fresh.composite(), ArmijoParams(), last.j_value)
         assert failed.value.exponent == last.backtracks
 
 
@@ -236,7 +236,7 @@ def logged_searches(monkeypatch) -> list:
     searches = []
     search = core.armijo_step
 
-    def logged(u, v, gap, problem, params, j_u=None):
+    def logged(u, v, gap, problem, params, j_u):
         brackets, priced = [], []
         searches.append((gap, j_u, params, brackets, priced))
         line_objective, line_enclosure = problem.line_objective, problem.line_enclosure
@@ -286,17 +286,17 @@ def test_enclosure_parity_with_the_direct_probes(run, monkeypatch):
     assert result.final_iterate.values.tobytes() == direct.final_iterate.values.tobytes()
     assert result.final_gradient.values.tobytes() == direct.final_gradient.values.tobytes()
 
-    # phi prices a probe only where the bracket straddles the target, and
-    # the accepted step once more where the bracket decided it
+    # phi prices a probe only where its bracket straddles the target
     fallbacks = 0
     for gap, j0, params, brackets, priced in searches:
         assert brackets and len(priced) <= len(brackets)
-        accepted = {}
+        straddles = {}
         for s, lo, hi in brackets:
             target = params.alpha * s * gap
             assert lo <= hi
-            accepted[s] = target <= j0 - hi
-        fallbacks += sum(not accepted[s] for s in priced)
+            straddles[s] = target <= j0 - lo and not target <= j0 - hi
+        assert all(straddles[s] for s in priced)
+        fallbacks += len(priced)
     if status is SolveStatus.LINE_SEARCH_FAILED:
         # the failed search's borderline decisions reach phi
         assert fallbacks >= 1
@@ -384,3 +384,54 @@ def test_enclosure_hand_case_with_two_kinks():
     # at s = 0 the closed form is g_eval(u) bit for bit
     e0 = 4 * (3 + 16) * eps * 0.5 * 5.25
     assert brackets[0] == (prob.g_eval(u) - e0, prob.g_eval(u) + e0)
+
+
+def test_overflowing_bracket_leaves_every_probe_to_phi():
+    # beta = 1e308 with bounds +-1: g(u) = beta sum m |u| = 5e307 is finite,
+    # but 2 beta (U + D) overflows, so g_along_bounds gives no bracket
+    grid = Grid(3, 1)  # mass 1/4 per node
+    ones = grid.field(np.ones(3))
+
+    def build():
+        return elliptic.EllipticProblem(
+            grid=grid,
+            reg_beta=1e308,
+            lower=grid.field(-ones.values),
+            upper=ones,
+            target=grid.zero_field(),
+        )
+
+    prob = build()
+    u = grid.field([1.0, -0.5, 0.5])
+    f_u, grad = prob.f_and_grad(u)
+    g_u = prob.g_eval(u)
+    assert g_u == 5e307
+    v = prob.lmo(grad)  # |p| < beta everywhere, so v = 0
+    assert not v.values.any()
+    gap = dual_gap(u, grad, g_u, v, prob.g_eval(v))
+    assert prob.g_along_bounds(u, v.values - u.values) is None
+
+    composite = prob.composite()
+    composite.line_objective(u, v)
+    assert composite.line_enclosure(u, v) is None
+    # a pair other than the last one priced has no bracket either
+    other = v.with_values(v.values)
+    assert composite.line_enclosure(u, other) is None
+    assert composite.line_enclosure(other, v) is None
+
+    # the true gap passes at once; three times it never passes and the
+    # budget ends the search
+    outcomes = []
+    for gap_k, params in ((gap, ArmijoParams()), (3.0 * gap, ArmijoParams(0.5, 0.5, 40))):
+        results = []
+        for enclosed in (True, False):
+            composite = build().composite()
+            if not enclosed:
+                composite = dataclasses.replace(composite, line_enclosure=None)
+            try:
+                results.append(armijo_step(u, v, gap_k, composite, params, f_u + g_u))
+            except LineSearchError as exc:
+                results.append(("raised", exc.exponent))
+        assert results[0] == results[1]
+        outcomes.append(results[0])
+    assert outcomes == [(1.0, 0), ("raised", 41)]
