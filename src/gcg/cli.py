@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--track-errors",
         action="store_true",
         default=None,
-        help="solve twice and record iterate errors against the first solution",
+        help=(
+            "solve twice and record each iterate's distance to the final "
+            "iterate of the first, identical solve (0 on the last row)"
+        ),
     )
     run_p.add_argument(
         "--no-diagnostics",

@@ -20,8 +20,18 @@ For convex f and g the margin c(s) = j(u) - j(u + s (v - u)) - alpha s gap
 is concave in s, with c(0) = 0 and slope at least (1 - alpha) gap > 0 at
 0+.  So the steps that pass form an interval (0, s*], and whether the test
 passes at gamma**n is monotone in n.  armijo_step therefore finds the
-minimal n by galloping over the exponent and bisecting the bracket, in
-O(log n) probes rather than n + 1.
+minimal n by bracketing it and bisecting the bracket, in O(log n) probes
+rather than n + 1.
+
+Where f is quadratic, f(u + s (v - u)) = f(u) + s f1 + s**2 c / 2 with
+c = |S (v - u)|**2 for the tracking term 0.5 |S u - z|**2, and convexity
+of g gives
+
+    j(u + s (v - u)) <= j(u) - s gap + s**2 c / 2,
+
+so the test passes at every s <= 2 (1 - alpha) gap / c.  phi(1) = j(v)
+gives c = 2 (j(v) - j(u) + gap), and the search starts at the first
+gamma**n below that floor, where the test passes, and walks down.
 """
 
 from __future__ import annotations
@@ -137,14 +147,6 @@ class CompositeProblem:
     returns the point u + s (v - u), with the values of u.blend(v, s).  A
     problem may use it to carry what its line search learned about that
     point, such as its state, into the next smooth_eval.
-
-    line_enclosure is an optional cheap bracket of the segment objective:
-    called right after phi = line_objective(u, v), it returns None or a
-    callable s -> (lo, hi) with lo <= phi(s) <= hi, where phi(s) is the
-    float phi returns.  armijo_step decides a probe from the bracket
-    whenever the bracket lies on one side of the decrease target, and
-    calls phi only for a probe whose bracket straddles it, so the
-    decisions, and with them the steps, are those of phi itself.
     """
 
     smooth_eval: Callable[[ControlField], tuple[float, ControlField]]
@@ -156,12 +158,6 @@ class CompositeProblem:
     ] = None
     step: Optional[
         Callable[[ControlField, ControlField, float], ControlField]
-    ] = None
-    line_enclosure: Optional[
-        Callable[
-            [ControlField, ControlField],
-            Optional[Callable[[float], tuple[float, float]]],
-        ]
     ] = None
 
 
@@ -309,57 +305,53 @@ def armijo_step(
     passes, where the decrease target alpha * gamma**n * gap underflows to
     0.0, or where n exceeds max_backtracks if one is set.  For convex f and
     g each of the three is monotone in n (see the module docstring), so the
-    search gallops over n = 0, 2, 6, 14, ... until one of them holds and
-    then bisects the bracket down to the first n where one holds: the scan's
-    n, or LineSearchError where the scan raises.  A full step costs one
-    probe.
+    search brackets the first n where one holds and bisects the bracket
+    down to it: the scan's n, or LineSearchError where the scan raises.  A
+    full step costs one probe.
+
+    The probe at n = 0 prices phi(1) = j(v).  When the test fails there,
+    c = 2 (phi(1) - j(u) + gap) is the curvature of a quadratic f along the
+    segment, |S (v - u)|**2 for the bundled instances, and the test passes
+    at every s <= 2 (1 - alpha) gap / c (module docstring).  The search
+    starts at the first n with gamma**n at most that floor, capped at the
+    budget and at the rounding level of the next paragraph.  Where the test
+    passes there, it walks down over n - 1, n - 3, n - 7, ... to an n where
+    the scan goes on and bisects; a start a few exponents too deep costs a
+    few probes.  Where it fails, which only rounding, those limits or a
+    non-quadratic f can cause, the start is dropped and the search gallops
+    over n = 0, 2, 6, 14, ... instead.
 
     Rounding breaks the monotonicity once the decrease j(u) - j(u + s (v-u))
     falls below the rounding of j(u), about 8 eps |j(u)|: there the test can
-    fail and pass again.  So before the gallop jumps past that level it
-    probes the last n whose gamma**n * gap lies above it.  An extra probe
-    leaves the result on a monotone sequence unchanged, and wherever the
-    scan's n lies above that level and the test is monotone down to it, the
-    search returns the scan's n.  Below it a gallop probe can still pass
-    over a band of passing exponents.  Either way the test holds at the
-    returned step, and whenever n > 0 it fails at step / gamma.
-
-    When the problem gives a line_enclosure, a probe first takes the
-    bracket lo <= phi(s) <= hi.  The computed test target <= j_u - j_s is
-    monotone in j_s, since rounding is, so it passes for every j_s in the
-    bracket when target <= j_u - hi, and fails for every one when
-    target <= j_u - lo fails.  Only a bracket that straddles the target
-    calls phi.  Every decision is thus the one phi would give, and the
-    search visits the same exponents and raises at the same one.
+    fail and pass again.  So the start lies above that level, and before
+    the gallop jumps past it, it probes the last n whose gamma**n * gap lies
+    above it.  An extra probe leaves the result on a monotone sequence
+    unchanged, and wherever the scan's n lies above that level and the test
+    is monotone down to it, the search returns the scan's n.  Below it a
+    probe can still pass over a band of passing exponents.  Either way the
+    test holds at the returned step, and whenever n > 0 it fails at
+    step / gamma.
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
     phi = _segment_objective(problem, u, v)
-    enclosure = None
-    if problem.line_enclosure is not None:
-        enclosure = problem.line_enclosure(u, v)
     alpha, gamma = params.alpha, params.gamma
     budget = params.max_backtracks
     limit = math.inf if budget is None else budget + 1
 
+    def target(n: int) -> float:
+        """alpha * gamma**n * gap, or 0.0 where the scan stops untested."""
+        # an underflowed target would accept any non-increase, including a
+        # step too small to move the iterate at all; so it stops the scan
+        # like an exhausted budget
+        return 0.0 if n >= limit else alpha * gamma**n * gap
+
     def stops_at(n: int) -> tuple[bool, bool]:
         """Whether the scan stops at n, and whether the test passes there."""
-        if n >= limit:
+        t = target(n)
+        if t == 0.0:
             return True, False
-        s = gamma**n
-        target = alpha * s * gap
-        if target == 0.0:
-            # the decrease target underflowed, so the test would accept any
-            # non-increase, including a step too small to move the iterate
-            # at all; treat that like an exhausted search
-            return True, False
-        if enclosure is not None:
-            j_lo, j_hi = enclosure(s)
-            if target <= j_u - j_hi:
-                return True, True
-            if not target <= j_u - j_lo:
-                return False, False
-        passed = target <= j_u - phi(s)
+        passed = t <= j_u - phi(gamma**n)
         return passed, passed
 
     # the last n with gamma**n * gap above the rounding of j(u)
@@ -369,12 +361,36 @@ def armijo_step(
         edge = math.ceil(math.log(ratio) / math.log(gamma)) - 1
 
     lo, hi = -1, 0  # the scan goes on at lo and stops at hi
-    stop, passed = stops_at(hi)
-    while not stop:
-        lo, hi = hi, min(2 * hi + 2, limit)
-        if lo < edge < hi:
-            hi = edge
-        stop, passed = stops_at(hi)
+    start = None
+    if target(0) == 0.0:
+        stop, passed = True, False
+    else:
+        j_v = phi(1.0)
+        stop = passed = target(0) <= j_u - j_v
+        # the start stays within the budget and above the rounding of j(u),
+        # which is 0 for j(u) = 0
+        top = min(math.inf if j_u == 0.0 else edge, limit - 1)
+        half_c = j_v - j_u + gap  # c / 2
+        # 2 (1 - alpha) gap / c, or 0.0 where phi(1) gives no curvature
+        floor = (1.0 - alpha) * gap / half_c if half_c > 0.0 else 0.0
+        if not stop and top >= 1 and floor > 0.0:
+            n_floor = math.ceil(math.log(floor) / math.log(gamma))
+            start = min(max(n_floor, 1), top)
+    if start is not None and stops_at(start)[1]:
+        # walk down to an n where the scan goes on; n = 0 is one
+        lo, hi, passed, drop = 0, start, True, 1
+        while hi - drop > 0:
+            stop, passed_at = stops_at(hi - drop)
+            if not stop:
+                lo = hi - drop
+                break
+            hi, passed, drop = hi - drop, passed_at, 2 * drop
+    else:
+        while not stop:
+            lo, hi = hi, min(2 * hi + 2, limit)
+            if lo < edge < hi:
+                hi = edge
+            stop, passed = stops_at(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         stop, passed_mid = stops_at(mid)

@@ -14,10 +14,9 @@ Minimizers inherit that three-valued structure wherever |p| != beta.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +30,9 @@ class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, penalty weight, bounds, target.
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
-    applies it in the stencil's sine basis.  g_along_bounds brackets the
-    penalty along a segment in closed form, exact up to the first sign
-    change and bounded below by the tangent beyond it, so most
-    backtracking probes take a few float operations instead of an O(N)
-    sum.
-    g_eval, dual_norm and g_along_bounds share pde.l1_norm of each field
-    through TrackingProblem._memo_norm, so one iteration sums m |u| over u
-    and over v once each.
+    applies it in the stencil's sine basis.  g_eval and dual_norm share
+    pde.l1_norm of each field through TrackingProblem._memo_norm, so one
+    iteration sums m |u| over u and over v once each.
     """
 
     grid: Grid
@@ -108,68 +102,6 @@ class EllipticProblem(TrackingProblem):
             return beta * float(np.dot(mass, np.abs(vals + s * du)))
 
         return g_val
-
-    def g_along_bounds(
-        self, u: ControlField, du: np.ndarray
-    ) -> Optional[Callable[[float], tuple[float, float]]]:
-        """Bracket [lo, hi] of the float g_along(u, du)(s) returns, s >= 0.
-
-        g(s) = beta sum_i m_i |u_i + s du_i| is convex.  With tau_i =
-        sign(u_i), or sign(du_i) where u_i = 0, node i contributes
-        m_i tau_i (u_i + s du_i) up to its kink t_i = |u_i| / |du_i|, where
-        tau_i du_i < 0.  So up to the first kink t1 = min t_i, g is the line
-        beta (a0 + s b), a0 = sum m |u| (pde.l1_norm, shared with g_eval, so
-        g(0) is g_eval(u) bit for bit) and b = sum m tau du.  The line is
-        g's tangent at 0+, so it bounds g from below beyond t1 too: the
-        bracket is [line - e, line + e] for s <= t1 and [line - e, inf)
-        after.
-
-        Rounding bound.  Let u_r = eps / 2, U = sum m |u|, D = sum m |du|
-        and S = U + s D.  A dot product of N terms carries an error of at
-        most gamma_N = N u_r / (1 - N u_r) times the sum of the terms'
-        magnitudes, in any summation order, fused or not (Higham,
-        Accuracy and Stability, sec. 3.1).  To first order in u_r:
-
-        - the direct sum rounds s du_i and u_i + s du_i, so each
-          |u_i + s du_i| is off by at most 2 u_r (|u_i| + s |du_i|); the
-          dot adds gamma_N and the product with beta u_r: (N + 3) u_r S.
-        - the line: the dots a0 and b (N u_r S), then the product with s,
-          the sum and the product with beta (3 u_r S).  The computed t1 may
-          sit one rounding above the true one; a node i whose kink lies
-          below s <= fl(t1) <= fl(t_i) then takes the wrong sign, but
-          |u_i + s du_i| <= u_r |u_i| there: 2 u_r U.  In all (N + 5) u_r S.
-
-        The two differ by at most (2N + 8) u_r S = (N + 4) eps S.  The
-        bracket takes e(s) = 4 (N + 16) eps beta S, over four times that,
-        which covers the higher-order terms, U and D being computed sums
-        themselves, and the rounding of e and of line -/+ e.
-
-        None when beta (U + D) is not finite, where the closed form could
-        overflow and the direct sum not.
-        """
-        beta, mass, vals = self.reg_beta, u.mass, u.values
-        a0 = self._memo_norm(u, l1_norm)
-        tau_du = np.abs(du)
-        d_sum = float(np.dot(mass, tau_du))
-        if not math.isfinite(2.0 * beta * (a0 + d_sum)):
-            return None
-        # tau du is |du| except where u and du have strictly opposite signs
-        signed_du = np.sign(vals)
-        signed_du *= du  # sign(u) du, exactly
-        opposite = np.flatnonzero(signed_du < 0.0)
-        signed_du = signed_du[opposite]
-        tau_du[opposite] = signed_du
-        slope = float(np.dot(mass, tau_du))
-        t1 = float(np.min(np.abs(vals[opposite]) / -signed_du, initial=math.inf))
-        scale = 4.0 * (vals.size + 16) * sys.float_info.epsilon * beta
-        e0, e1 = scale * a0, scale * d_sum
-
-        def bounds(s: float) -> tuple[float, float]:
-            g = beta * (a0 + s * slope)
-            e = e0 + s * e1
-            return g - e, (g + e if s <= t1 else math.inf)
-
-        return bounds
 
     @cached_property
     def lipschitz_estimate(self) -> float:

@@ -21,11 +21,6 @@ solver bundle once.  An instance class mixes it in and supplies:
     g_eval, lmo, dual_norm      the nonsmooth term, its oracle and dual norm
     g_along(u, du)              callable s -> g(u + s du) for s in [0, 1]
 
-optionally
-
-    g_along_bounds(u, du)       callable s -> (lo, hi) around the float
-                                g_along(u, du)(s) returns, or None
-
 and, for the run diagnostics, lipschitz_estimate, growth_quantum,
 growth_measure(p, eps) and structure(u, p).
 """
@@ -55,36 +50,22 @@ class TrackingProblem:
     segment's difference v - u and seeds the memo with the state
     y_u + s dy carried from it, so the state is solved afresh only for a
     field no step made.  Carried states drift from a fresh solve by
-    rounding; gcg_solve evaluates at a new field before it stops.
-    line_enclosure brackets the priced segment's objective from the
-    instance's g_along_bounds, so the line search calls phi only for its
-    close calls.  The memo assumes that no field's values are changed in
-    place; the solver makes every iterate a new ControlField.  _memo_norm
-    keeps a second memo, of the penalty's norm of the last _NORM_SLOTS
-    fields, also keyed by identity; it holds its fields weakly and keeps
-    no values alive.
+    rounding; gcg_solve evaluates at a new field before it stops.  The memo
+    assumes that no field's values are changed in place; the solver makes
+    every iterate a new ControlField.  _memo_norm keeps a second memo, of
+    the penalty's norm of the last _NORM_SLOTS fields, also keyed by
+    identity; it holds its fields weakly and keeps no values alive.
+
+    The segment's curvature f2 = |S (v - u)|**2 needs no field of its own:
+    armijo_step recovers it to rounding as 2 (phi(1) - j(u) + gap) and
+    starts its search at the step that curvature guarantees.
     """
 
     # (u, S u, f(u) or None until f_and_grad computes it)
     _memo: Optional[tuple[ControlField, np.ndarray, Optional[float]]] = None
-    # (u, v, v - u, S u, S (v - u), (f0, f1, f2)) of the last segment
-    # line_objective priced
+    # (u, v, v - u, S u, S (v - u)) of the last segment line_objective priced
     _segment: Optional[
-        tuple[
-            ControlField,
-            ControlField,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            tuple[float, float, float],
-        ]
-    ] = None
-    # an instance without a bracket of its g_along gives no line_enclosure
-    g_along_bounds: Optional[
-        Callable[
-            [ControlField, np.ndarray],
-            Optional[Callable[[float], tuple[float, float]]],
-        ]
+        tuple[ControlField, ControlField, np.ndarray, np.ndarray, np.ndarray]
     ] = None
 
     # ((weak reference to a field, its norm), ...), newest first
@@ -145,39 +126,12 @@ class TrackingProblem:
             f0 = 0.5 * float(np.dot(mass, resid**2))
         f1 = float(np.dot(mass, np.multiply(resid, dy, out=resid)))
         f2 = float(np.dot(mass, np.multiply(dy, dy, out=resid)))
-        self._segment = (u, v, du, y_u, dy, (f0, f1, f2))
+        self._segment = (u, v, du, y_u, dy)
 
         def phi(s: float) -> float:
             return f0 + s * f1 + 0.5 * s * s * f2 + g_along(s)
 
         return phi
-
-    def line_enclosure(
-        self, u: ControlField, v: ControlField
-    ) -> Optional[Callable[[float], tuple[float, float]]]:
-        """Bracket [lo, hi] of the float the last priced phi returns at s.
-
-        phi(s) is q + g_along(s) with q = f0 + s f1 + 0.5 s s f2, so the
-        bracket computes the same q and adds the ends of g_along_bounds(s).
-        Rounding is monotone, so g_lo <= g <= g_hi gives
-        fl(q + g_lo) <= fl(q + g) <= fl(q + g_hi).  None when (u, v) is
-        not, by identity, the pair of the last line_objective call, or
-        when the instance gives no bracket there.
-        """
-        segment = self._segment
-        if segment is None or segment[0] is not u or segment[1] is not v:
-            return None
-        du, (f0, f1, f2) = segment[2], segment[5]
-        g_bounds = self.g_along_bounds(u, du)
-        if g_bounds is None:
-            return None
-
-        def bounds(s: float) -> tuple[float, float]:
-            q = f0 + s * f1 + 0.5 * s * s * f2
-            g_lo, g_hi = g_bounds(s)
-            return q + g_lo, q + g_hi
-
-        return bounds
 
     def step(self, u: ControlField, v: ControlField, s: float) -> ControlField:
         """The point u + s (v - u), with its state when the segment was priced.
@@ -191,7 +145,7 @@ class TrackingProblem:
         segment, self._segment = self._segment, None
         if segment is None or segment[0] is not u or segment[1] is not v:
             return u.blend(v, s)
-        _, _, du, y_u, dy, _ = segment
+        _, _, du, y_u, dy = segment
         values = s * du
         values += u.values
         w = u.with_values(values)
@@ -208,7 +162,4 @@ class TrackingProblem:
             dual_norm=self.dual_norm,
             line_objective=self.line_objective,
             step=self.step,
-            line_enclosure=(
-                None if self.g_along_bounds is None else self.line_enclosure
-            ),
         )

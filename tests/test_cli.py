@@ -181,6 +181,9 @@ def test_track_errors_populates_columns(tmp_path, capsys):
     errs = [float(row[5]) for row in rows]
     assert errs[0] > 0.0  # zero start vs the reference solution
     assert errs[-1] <= errs[0]
+    # the reference is the final iterate of an identical first solve, so
+    # the last row is at distance zero from it
+    assert rows[-1][5] == "0.0" and errs[-1] == 0.0
 
 
 def test_no_diagnostics_flag(tmp_path, capsys):

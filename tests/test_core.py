@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,8 +230,76 @@ def test_armijo_gamma_099_takes_69_trials():
     step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.99), 0.5)
     assert n == 69 == math.ceil(math.log(0.5) / math.log(0.99))
     assert step == 0.99**69
-    # a scan from n = 0 would make 70 probes
-    assert len(probes) <= 2 * math.ceil(math.log2(n + 1)) + 1
+    # a scan from n = 0 would make 70 probes; the curvature c = 4 of this
+    # segment puts the start at n = 69, so phi(1), phi(0.99**69) and
+    # phi(0.99**68) decide the search
+    assert probes == [1.0, 0.99**69, 0.99**68]
+
+
+def test_start_that_fails_by_rounding_falls_back_to_the_gallop():
+    # f = u^2/2 from u = 1 towards v = -1 with gap 2 and alpha = 0.1: the
+    # test passes for s <= 2 (1 - alpha) gap / c = 0.9 (1 - alpha rounded),
+    # c = 4.  1 - alpha rounds up onto 0.9 = gamma, so the start is n = 1,
+    # while the exact floor 2 (1 - 0.1) lies just below gamma: the test
+    # fails at the start and passes first at n = 2
+    alpha, gamma = 0.1, 0.9
+    assert (1.0 - alpha) == gamma and Fraction(1) - Fraction(alpha) < Fraction(gamma)
+    probes = []
+    prob = counting(scalar_problem(0.0), probes)
+    u, v = field(1.0), field(-1.0)
+    params = ArmijoParams(alpha, gamma)
+    j_u = 0.5
+    assert not alpha * gamma * 2.0 <= j_u - segment_phi(prob, u, v)(gamma)
+    got = armijo_step(u, v, 2.0, prob, params, j_u)
+    assert got == scan_armijo_step(u, v, 2.0, prob, params, j_u) == (gamma**2, 2)
+    # phi(1), the failed start, then the gallop from n = 0: n = 2, then 1
+    assert probes == [1.0, gamma, gamma**2, gamma]
+
+
+def test_start_that_overshoots_walks_down_by_doubling():
+    # f = cosh(w - 1/2) - 1 from u = 0 towards v = 5: c = 2 (phi(1) - j(u)
+    # + gap) is twice f's Bregman gap over the whole segment, far above
+    # its curvature near u, so the start n = 356 lies 124 exponents past
+    # the scan's n = 232; the walk down reaches it in doubling steps
+    def smooth(w):
+        r = w.values - 0.5
+        return float(np.sum(np.cosh(r) - 1.0)), w.with_values(np.sinh(r))
+
+    prob = CompositeProblem(smooth, lambda w: 0.0, None, None)
+    u, v = field(0.0), field(5.0)
+    j_u, grad = smooth(u)
+    gap = pairing(grad, u.diff(v))
+    params = ArmijoParams(0.5, 0.99)
+    probes = []
+    got = armijo_step(u, v, gap, counting(prob, probes), params, j_u)
+    assert got == scan_armijo_step(u, v, gap, prob, params, j_u) == (0.99**232, 232)
+    exponents = [round(math.log(s) / math.log(0.99)) for s in probes]
+    # phi(1), the start, the walk 355, 353, 349, ..., 229 that passes the
+    # scan's n, and a bisection of (229, 233)
+    assert exponents[:9] == [0, 356, 355, 353, 349, 341, 325, 293, 229]
+    assert len(probes) == 15
+    # a budget below the start clamps it there, and the walk starts from it
+    probes.clear()
+    budgeted = ArmijoParams(0.5, 0.99, max_backtracks=300)
+    assert armijo_step(u, v, gap, counting(prob, probes), budgeted, j_u) == got
+    assert round(math.log(probes[1]) / math.log(0.99)) == 300
+
+
+@pytest.mark.parametrize("j_v", [math.inf, math.nan, 1e300])
+def test_start_without_a_usable_curvature_gallops(j_v):
+    # phi(1) infinite or NaN gives no curvature, and phi(1) = 1e300 against
+    # gap = 1e-300 puts the floor 2 (1 - alpha) gap / c below the smallest
+    # double: each search gallops from n = 0 and returns the scan's outcome
+    def smooth(w):
+        s = w.values[0]
+        return (j_v if s == 1.0 else -0.5 * s * 1e-300), w
+
+    prob = CompositeProblem(smooth, lambda w: 0.0, None, None)
+    u, v = field(0.0), field(1.0)
+    for params in (ArmijoParams(0.5, 0.5), ArmijoParams(0.5, 0.5, 40)):
+        assert search_outcome(armijo_step, u, v, 1e-300, prob, params, 0.0) == (
+            search_outcome(scan_armijo_step, u, v, 1e-300, prob, params, 0.0)
+        )
 
 
 def test_armijo_requires_positive_gap():
@@ -342,7 +411,10 @@ def test_armijo_matches_scan_on_edge_cases():
 
 @st.composite
 def convex_segment(draw):
-    """A quadratic plus a mass-weighted |.| term, and a segment of positive gap."""
+    """A smooth convex term plus a mass-weighted |.| term, and a segment of
+    positive gap.  The smooth term is a quadratic, where the search starts
+    at the step its curvature guarantees, or sum m k (cosh(w - t) - 1),
+    where that start is only a guess that can overshoot or fail."""
     n = draw(st.integers(1, 4))
     coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
     mass = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
@@ -350,9 +422,18 @@ def convex_segment(draw):
     target = np.array(draw(coords))
     beta = draw(st.floats(0.0, 1.0))
 
-    def smooth(w):
-        r = w.values - target
-        return 0.5 * float(np.dot(mass * curv, r * r)), w.with_values(curv * r)
+    if draw(st.booleans()):
+
+        def smooth(w):
+            r = w.values - target
+            return 0.5 * float(np.dot(mass * curv, r * r)), w.with_values(curv * r)
+
+    else:
+
+        def smooth(w):
+            r = w.values - target
+            value = float(np.dot(mass * curv, np.cosh(r) - 1.0))
+            return value, w.with_values(curv * np.sinh(r))
 
     def nonsmooth(w):
         return beta * float(np.dot(mass, np.abs(w.values)))
@@ -394,108 +475,6 @@ def test_armijo_matches_linear_scan(segment, alpha, gamma, budget):
         step, n = got
         assert (tests[n][0], tests[n][2]) == (step, True)
         assert n == 0 or not passes[n - 1]
-
-
-def bracketed(problem, delta, calls):
-    """The problem with a line_enclosure [phi - d, phi + d] around the direct
-    segment objective, d = delta(phi(s)); calls records each probe of phi."""
-
-    def line_enclosure(u, v):
-        phi = segment_phi(problem, u, v)
-
-        def bounds(s):
-            j_s = phi(s)
-            d = delta(j_s)
-            return j_s - d, j_s + d
-
-        return bounds
-
-    return dataclasses.replace(counting(problem, calls), line_enclosure=line_enclosure)
-
-
-def search_result(u, v, gap, problem, params, j_u):
-    """(step, n), or the exponent of the LineSearchError raised."""
-    try:
-        return armijo_step(u, v, gap, problem, params, j_u)
-    except LineSearchError as exc:
-        return ("raised", exc.exponent)
-
-
-def enclosure_deltas(seed):
-    rng = np.random.default_rng(seed)
-    return {
-        "exact": lambda j: 0.0,
-        "random": lambda j: rng.uniform(0.0, 4.0) * 10.0 ** rng.integers(-20, 1),
-        "wide": lambda j: 1e300,  # larger than any margin: phi decides all
-    }
-
-
-def assert_enclosure_keeps_the_search(u, v, gap, problem, params, delta, j_u):
-    direct_calls, calls = [], []
-    direct = counting(problem, direct_calls)
-    want = search_result(u, v, gap, direct, params, j_u)
-    got = search_result(u, v, gap, bracketed(problem, delta, calls), params, j_u)
-    assert got == want
-    return len(direct_calls), len(calls)
-
-
-def scalar_search_cases():
-    """(u, v, gap, problem, params, j_u): the scalar searches of this module."""
-    one, minus_one = field(1.0), field(-1.0)
-    e4 = field(0.0, 0.0, 0.0, 1.0)
-    quad = CompositeProblem(
-        lambda w: (0.5 * float(w.values @ w.values), w), lambda w: 0.0, None, None
-    )
-    eps = float(np.finfo(float).eps)
-    wide = scalar_problem(0.0, lower=-8.0)
-    cases = [
-        (field(-1.0), one, 4.0, scalar_problem(1.0), ArmijoParams(0.5, 0.5)),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5)),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99)),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 69)),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, 0.99, 68)),
-        (one, minus_one, 2.0, scalar_problem(0.0), ArmijoParams(0.5, eps, 1)),
-        (e4, e4.with_values(-e4.values), 2.0, quad, ArmijoParams(0.5, 1e-10, 2)),
-        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 12)),
-        (field(0.5), field(0.5), 1.0, scalar_problem(0.0), ArmijoParams(0.5, 0.5, 5000)),
-    ]
-    for budget in (None, 3, 2):
-        params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
-        cases.append((one, field(-7.0), 8.0, wide, params))
-    return [(*case, segment_phi(case[3], case[0], case[1])(0.0)) for case in cases]
-
-
-@pytest.mark.parametrize("kind", ["exact", "random", "wide"])
-def test_enclosure_keeps_every_scalar_search(kind):
-    # the same step and exponent, or the same exponent raised, as the search
-    # that prices every probe; an exact bracket decides every probe alone, a
-    # wide one leaves phi every probe
-    delta = enclosure_deltas(11)[kind]
-    for u, v, gap, problem, params, j_u in scalar_search_cases():
-        direct, bracketed_calls = assert_enclosure_keeps_the_search(
-            u, v, gap, problem, params, delta, j_u
-        )
-        if kind == "exact":
-            assert bracketed_calls == 0
-        elif kind == "wide":
-            assert bracketed_calls == direct
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    segment=convex_segment(),
-    alpha=st.floats(0.0, 0.5, exclude_min=True),
-    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    budget=st.integers(1, 3000),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_enclosure_keeps_random_convex_searches(segment, alpha, gamma, budget, seed):
-    prob, u, v, gap = segment
-    assume(math.isfinite(gap) and gap > 0.0)
-    j_u = segment_phi(prob, u, v)(0.0)
-    params = ArmijoParams(alpha, gamma, budget)
-    for delta in enclosure_deltas(seed).values():
-        assert_enclosure_keeps_the_search(u, v, gap, prob, params, delta, j_u)
 
 
 def test_armijo_params_validation():

@@ -2,6 +2,8 @@
 state carried from the line search into the next iterate."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from gcg import core, elliptic, parabolic
 from gcg.core import (
     ArmijoParams,
-    ControlField,
     LineSearchError,
     SolverConfig,
     SolveStatus,
@@ -17,7 +18,6 @@ from gcg.core import (
     dual_gap,
     gcg_solve,
 )
-from gcg.pde import Grid
 
 BUILDERS = {
     "elliptic": lambda: elliptic.make_example("stadler-ex1", 12),
@@ -219,8 +219,30 @@ def test_reused_values_are_the_fresh_floats(kind):
         prob.f_and_grad(u)  # the memo back at u for the next step
 
 
-# elliptic runs whose segments the closed-form bracket prices
-ENCLOSED = {
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
+    # armijo_step takes c = 2 (phi(1) - j(u) + gap) for the curvature
+    # |S (v - u)|**2 of the priced segment; it is that norm to rounding
+    prob = BUILDERS[kind]()
+    rng = np.random.default_rng(107)
+    eps = np.finfo(float).eps
+    for u in (prob.zero_control(), *(prob.sample_feasible(rng) for _ in range(4))):
+        f_u, grad = prob.f_and_grad(u)
+        g_u = prob.g_eval(u)
+        v = prob.lmo(grad)
+        j_u = f_u + g_u
+        gap = dual_gap(u, grad, g_u, v, prob.g_eval(v), slack=1e-12 * (abs(j_u) + 1.0))
+        j_v = prob.line_objective(u, v)(1.0)
+        dy = prob._segment[4]
+        norm_sq = float(np.dot(u.mass, dy * dy))
+        assert norm_sq > 0.0
+        c = 2.0 * (j_v - j_u + gap)
+        assert abs(c - norm_sq) <= 16 * eps * (abs(j_u) + abs(j_v) + gap)
+
+
+# elliptic runs whose searches start at the curvature's step, walk down from
+# it, and, at n = 2, reach rounding level, where the start falls back
+SEARCH_RUNS = {
     "ex1-max-iter": STOPS["max-iter"],
     "ex3": (
         lambda: elliptic.make_example("stadler-ex3", 16),
@@ -232,206 +254,96 @@ ENCLOSED = {
 
 
 def logged_searches(monkeypatch) -> list:
-    """Log every armijo_step: (gap, j_u, params, [(s, lo, hi)], [s of phi])."""
+    """Log every armijo_step: (gap, j_u, params, phi, [s of phi], outcome),
+    with outcome (step, n), or ("raised", exponent) for a failed search."""
     searches = []
     search = core.armijo_step
 
     def logged(u, v, gap, problem, params, j_u):
-        brackets, priced = [], []
-        searches.append((gap, j_u, params, brackets, priced))
-        line_objective, line_enclosure = problem.line_objective, problem.line_enclosure
+        phi = problem.line_objective(u, v)
+        priced = []
 
-        def objective(u, v):
-            phi = line_objective(u, v)
+        def counted(s):
+            priced.append(s)
+            return phi(s)
 
-            def counted(s):
-                priced.append(s)
-                return phi(s)
-
-            return counted
-
-        def enclosure(u, v):
-            bounds = line_enclosure(u, v)
-
-            def recorded(s):
-                lo, hi = bounds(s)
-                brackets.append((s, lo, hi))
-                return lo, hi
-
-            return recorded
-
-        problem = dataclasses.replace(
-            problem, line_objective=objective, line_enclosure=enclosure
-        )
-        return search(u, v, gap, problem, params, j_u)
+        problem = dataclasses.replace(problem, line_objective=lambda u, v: counted)
+        outcome = None
+        try:
+            outcome = search(u, v, gap, problem, params, j_u)
+            return outcome
+        except LineSearchError as exc:
+            outcome = ("raised", exc.exponent)
+            raise
+        finally:
+            searches.append((gap, j_u, params, phi, priced, outcome))
 
     monkeypatch.setattr(core, "armijo_step", logged)
     return searches
 
 
-@pytest.mark.parametrize("run", sorted(ENCLOSED))
-def test_enclosure_parity_with_the_direct_probes(run, monkeypatch):
-    build, config, status = ENCLOSED[run]
-    prob, direct_prob = build(), build()
-    assert prob.composite().line_enclosure is not None
-    direct = gcg_solve(
-        dataclasses.replace(direct_prob.composite(), line_enclosure=None),
-        direct_prob.zero_control(),
-        config,
-    )
+def rounding_edge(gap, j_u, gamma):
+    """The last n whose gamma**n * gap lies above the rounding of j(u),
+    8 eps |j(u)|, as armijo_step places it; -1 when there is none."""
+    ratio = 8.0 * np.finfo(float).eps * abs(j_u) / gap
+    if not 0.0 < ratio < 1.0:
+        return -1
+    return math.ceil(math.log(ratio) / math.log(gamma)) - 1
+
+
+def scan_passes(gap, j_u, params, phi, deepest, last):
+    """The test at n = 0, 1, ... down to the step deepest and to n = last,
+    or to where the scan stops untested; and the n where it stops, or None."""
+    passes = []
+    for n in itertools.count():
+        s = params.gamma**n
+        target = params.alpha * s * gap
+        budget = params.max_backtracks
+        if target == 0.0 or (budget is not None and n > budget):
+            return passes, n
+        if s < deepest and n > last:
+            return passes, None
+        passes.append(target <= j_u - phi(s))
+
+
+@pytest.mark.parametrize("run", sorted(SEARCH_RUNS))
+def test_searches_keep_the_scan_along_runs(run, monkeypatch):
+    # each search returns the linear scan's (step, n) wherever the scan's
+    # test is monotone from its first pass down to the rounding edge or
+    # over the exponents the search probed; elsewhere it keeps the
+    # backtracking contract
+    build, config, status = SEARCH_RUNS[run]
+    prob = build()
     searches = logged_searches(monkeypatch)
     result = gcg_solve(prob.composite(), prob.zero_control(), config)
-    assert result.status is direct.status is status
-    assert result.history == direct.history
-    assert result.final_iterate.values.tobytes() == direct.final_iterate.values.tobytes()
-    assert result.final_gradient.values.tobytes() == direct.final_gradient.values.tobytes()
-
-    # phi prices a probe only where its bracket straddles the target
-    fallbacks = 0
-    for gap, j0, params, brackets, priced in searches:
-        assert brackets and len(priced) <= len(brackets)
-        straddles = {}
-        for s, lo, hi in brackets:
-            target = params.alpha * s * gap
-            assert lo <= hi
-            straddles[s] = target <= j0 - lo and not target <= j0 - hi
-        assert all(straddles[s] for s in priced)
-        fallbacks += len(priced)
-    if status is SolveStatus.LINE_SEARCH_FAILED:
-        # the failed search's borderline decisions reach phi
-        assert fallbacks >= 1
-    probes = sum(len(brackets) for *_, brackets, _ in searches)
-    assert sum(len(priced) for *_, priced in searches) < probes
-
-
-def bracket_contains(prob, u, du, steps):
-    """Assert g_along(u, du)(s) lies in the bracket at every s; the brackets."""
-    g_along, bounds = prob.g_along(u, du), prob.g_along_bounds(u, du)
-    out = []
-    for s in steps:
-        lo, hi = bounds(s)
-        assert lo <= g_along(s) <= hi, (s, lo, g_along(s), hi)
-        out.append((lo, hi))
-    return out
-
-
-def test_enclosure_holds_around_kinks():
-    prob = elliptic.make_example("stadler-ex1", 8)
-    lower, upper = prob.lower.values, prob.upper.values
-    rng = np.random.default_rng(103)
-    n = lower.size
-    eps = np.finfo(float).eps
-    for trial in range(40):
-        mass = rng.uniform(0.01, 3.0, n) * 10.0 ** rng.integers(-3, 2)
-        vals = rng.uniform(lower, upper)
-        vals[rng.random(n) < 0.3] = 0.0
-        vals[rng.random(n) < 0.1] = lower[0]
-        vals[rng.random(n) < 0.1] = upper[0]
-        v = rng.choice([lower[0], 0.0, upper[0]], n)
-        u = ControlField(vals, mass)
-        du = v - vals
-        kinks = -vals / np.where(du == 0.0, 1.0, du)
-        kinks = kinks[(vals * du < 0.0) & (kinks < 1.0)]
-        assert kinks.size >= 3
-        t1 = kinks.min()
-        steps = [0.0, 1.0, *rng.random(8)]
-        for t in [t1, *rng.choice(kinks, min(kinks.size, 6), replace=False)]:
-            steps += [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
-        brackets = bracket_contains(prob, u, du, steps)
-        # tight up to the first kink, e(s) = 4 (N + 16) eps beta S, and
-        # open above beyond it
-        scale = 4 * (n + 16) * eps * prob.reg_beta
-        for s, (lo, hi) in zip(steps, brackets):
-            if s <= t1:
-                e = scale * (mass @ np.abs(vals) + s * (mass @ np.abs(du)))
-                assert hi - lo <= 2 * e * (1 + 1e-12) + 4 * np.spacing(hi), s
-            else:
-                assert hi == np.inf, s
-
-
-def test_enclosure_hand_case_with_two_kinks():
-    # beta (0.5 |1 - 4s| + 0.25 |4s - 3| + 2 * 2): kinks at s = 1/4 and 3/4;
-    # up to the first, g is the line beta (5.25 - 3 s)
-    grid = Grid(3, 1)
-    prob = elliptic.EllipticProblem(
-        grid=grid,
-        reg_beta=0.5,
-        lower=grid.field([-4.0, -4.0, -4.0]),
-        upper=grid.field([4.0, 4.0, 4.0]),
-        target=grid.field([0.0, 0.0, 0.0]),
-    )
-    mass = np.array([0.5, 0.25, 2.0])
-    u = ControlField(np.array([1.0, -3.0, 2.0]), mass)
-    du = np.array([-3.0, 1.0, 2.0]) - u.values
-    exact = {0.0: 5.25, 0.125: 4.875, 0.25: 4.5, 0.5: 4.75, 0.75: 5.0, 1.0: 5.75}
-    brackets = bracket_contains(prob, u, du, list(exact))
-    eps = np.finfo(float).eps
-    for (s, g), (lo, hi) in zip(exact.items(), brackets):
-        assert prob.g_along(u, du)(s) == 0.5 * g
-        # e(s) = 4 (N + 16) eps beta (sum m |u| + s sum m |du|)
-        e = 4 * (3 + 16) * eps * 0.5 * (5.25 + s * 3.0)
-        line = 0.5 * (5.25 - 3.0 * s)
-        if s <= 0.25:
-            assert line == 0.5 * g
-            assert lo < 0.5 * g < hi
-            assert (lo + hi) / 2 == 0.5 * g
-            assert hi - lo == pytest.approx(2 * e, rel=1e-12)
+    assert result.status is status
+    assert len(searches) >= result.iterations
+    matched = 0
+    for gap, j_u, params, phi, priced, outcome in searches:
+        assert priced[0] == 1.0
+        edge = rounding_edge(gap, j_u, params.gamma)
+        # the second probe, the start or the gallop's n = 2, lies above the
+        # rounding of j(u) wherever the edge leaves room for it
+        if len(priced) > 1:
+            assert priced[1] >= params.gamma ** max(edge, 2)
+        if outcome[0] == "raised":
+            # only where the test fails just before the scan stops
+            passes, stop = scan_passes(gap, j_u, params, phi, 0.0, edge)
+            assert stop == outcome[1] and not passes[-1]
+            continue
+        step, n = outcome
+        passes, _ = scan_passes(gap, j_u, params, phi, min(priced), edge)
+        first = passes.index(True)
+        monotone_to_edge = first <= edge and all(passes[first : edge + 1])
+        if monotone_to_edge or all(passes[first:]):
+            assert (step, n) == (params.gamma**first, first)
+            matched += 1
         else:
-            # the tangent at 0 bounds g from below; no upper end
-            assert line < 0.5 * g
-            assert abs(lo - (line - e)) <= 2 * np.spacing(line)
-            assert hi == np.inf
-    # at s = 0 the closed form is g_eval(u) bit for bit
-    e0 = 4 * (3 + 16) * eps * 0.5 * 5.25
-    assert brackets[0] == (prob.g_eval(u) - e0, prob.g_eval(u) + e0)
-
-
-def test_overflowing_bracket_leaves_every_probe_to_phi():
-    # beta = 1e308 with bounds +-1: g(u) = beta sum m |u| = 5e307 is finite,
-    # but 2 beta (U + D) overflows, so g_along_bounds gives no bracket
-    grid = Grid(3, 1)  # mass 1/4 per node
-    ones = grid.field(np.ones(3))
-
-    def build():
-        return elliptic.EllipticProblem(
-            grid=grid,
-            reg_beta=1e308,
-            lower=grid.field(-ones.values),
-            upper=ones,
-            target=grid.zero_field(),
-        )
-
-    prob = build()
-    u = grid.field([1.0, -0.5, 0.5])
-    f_u, grad = prob.f_and_grad(u)
-    g_u = prob.g_eval(u)
-    assert g_u == 5e307
-    v = prob.lmo(grad)  # |p| < beta everywhere, so v = 0
-    assert not v.values.any()
-    gap = dual_gap(u, grad, g_u, v, prob.g_eval(v))
-    assert prob.g_along_bounds(u, v.values - u.values) is None
-
-    composite = prob.composite()
-    composite.line_objective(u, v)
-    assert composite.line_enclosure(u, v) is None
-    # a pair other than the last one priced has no bracket either
-    other = v.with_values(v.values)
-    assert composite.line_enclosure(u, other) is None
-    assert composite.line_enclosure(other, v) is None
-
-    # the true gap passes at once; three times it never passes and the
-    # budget ends the search
-    outcomes = []
-    for gap_k, params in ((gap, ArmijoParams()), (3.0 * gap, ArmijoParams(0.5, 0.5, 40))):
-        results = []
-        for enclosed in (True, False):
-            composite = build().composite()
-            if not enclosed:
-                composite = dataclasses.replace(composite, line_enclosure=None)
-            try:
-                results.append(armijo_step(u, v, gap_k, composite, params, f_u + g_u))
-            except LineSearchError as exc:
-                results.append(("raised", exc.exponent))
-        assert results[0] == results[1]
-        outcomes.append(results[0])
-    assert outcomes == [(1.0, 0), ("raised", 41)]
+            assert passes[n] and (n == 0 or not passes[n - 1])
+    assert matched >= len(searches) // 2
+    # phi(1), the start and the exponent above it decide most searches;
+    # the failed search, at rounding level, falls back to the gallop
+    probes = [len(priced) for *_, priced, _ in searches]
+    assert sum(p <= 3 for p in probes) >= 0.8 * len(probes)
+    if status is SolveStatus.LINE_SEARCH_FAILED:
+        assert max(probes) > 3
