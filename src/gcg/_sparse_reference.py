@@ -49,7 +49,7 @@ class DiscreteOperator:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
-        self._norm = _inf_norm(matrix)
+        self.norm = _inf_norm(matrix)
         self._factor = None
 
     @property
@@ -68,7 +68,7 @@ class DiscreteOperator:
         if self._factor is None:
             self._factor = splu(self.matrix)
         y = self._factor.solve(rhs)
-        check_residual(self, self._norm, y.T, rhs.T)
+        check_residual(self, y.T, rhs.T)
         return y
 
 

@@ -16,12 +16,13 @@ Steps are chosen by backtracking: the smallest n with
 
     alpha * gamma**n * gap  <=  j(u) - j(u + gamma**n (v - u)).
 
-For convex f and g the margin c(s) = j(u) - j(u + s (v - u)) - alpha s gap
-is concave in s, with c(0) = 0 and slope at least (1 - alpha) gap > 0 at
-0+.  So the steps that pass form an interval (0, s*], and whether the test
-passes at gamma**n is monotone in n.  armijo_step therefore finds the
-minimal n by bracketing it and bisecting the bracket, in O(log n) probes
-rather than n + 1.
+armijo_step takes the segment as the scalar phi(s) = j(u + s (v - u))
+alone, which gcg_solve builds before each search.  For convex f and g the
+margin c(s) = j(u) - j(u + s (v - u)) - alpha s gap is concave in s, with
+c(0) = 0 and slope at least (1 - alpha) gap > 0 at 0+.  So the steps that
+pass form an interval (0, s*], and whether the test passes at gamma**n is
+monotone in n.  armijo_step therefore finds the minimal n by bracketing
+it and bisecting the bracket, in O(log n) probes rather than n + 1.
 
 Where f is quadratic, f(u + s (v - u)) = f(u) + s f1 + s**2 c / 2 with
 c = |S (v - u)|**2 for the tracking term 0.5 |S u - z|**2, and convexity
@@ -289,17 +290,13 @@ def _segment_objective(
 
 
 def armijo_step(
-    u: ControlField,
-    v: ControlField,
-    gap: float,
-    problem: CompositeProblem,
-    params: ArmijoParams,
-    j_u: float,
+    phi: Callable[[float], float], j_u: float, gap: float, params: ArmijoParams
 ) -> tuple[float, int]:
-    """Smallest n with alpha * gamma**n * gap <= j(u) - j(u + gamma**n (v-u)).
+    """Smallest n with alpha * gamma**n * gap <= phi(0) - phi(gamma**n).
 
-    Returns (step, n) with step = gamma**n.  j_u is j(u), which the caller
-    already has.  Requires gap > 0.
+    phi is s -> j(u + s (v - u)) along one segment and j_u = phi(0), which
+    the caller already has.  Returns (step, n) with step = gamma**n.
+    Requires gap > 0.
 
     An upward scan from n = 0 would stop at the first n where the test
     passes, where the decrease target alpha * gamma**n * gap underflows to
@@ -334,7 +331,6 @@ def armijo_step(
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
-    phi = _segment_objective(problem, u, v)
     alpha, gamma = params.alpha, params.gamma
     budget = params.max_backtracks
     limit = math.inf if budget is None else budget + 1
@@ -415,8 +411,9 @@ def gcg_solve(
     Each pass evaluates the gradient, calls the LMO, computes the gap of the
     current iterate, and only then decides: stop when the gap is within
     gap_tol (CONVERGED) or the iteration budget is spent (MAX_ITER_REACHED),
-    otherwise backtrack and step.  Every next iterate comes from
-    problem.step, or from u.blend(v, s) when the problem gives none.
+    otherwise backtrack along phi(s) = j(u + s (v - u)) and step.  Every
+    next iterate comes from problem.step, or from u.blend(v, s) when the
+    problem gives none.
 
     A problem's step may hand smooth_eval a state carried along the search
     segments instead of a fresh solve.  So before a pass at such an iterate
@@ -455,7 +452,8 @@ def gcg_solve(
             status = SolveStatus.MAX_ITER_REACHED
         else:
             try:
-                step, n_back = armijo_step(u, v, gap, problem, config.armijo, j_u)
+                phi = _segment_objective(problem, u, v)
+                step, n_back = armijo_step(phi, j_u, gap, config.armijo)
                 status = None
             except LineSearchError as exc:
                 n_back = exc.exponent

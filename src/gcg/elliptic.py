@@ -31,9 +31,11 @@ class EllipticProblem(TrackingProblem):
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
     applies it in the stencil's sine basis.  g_eval and dual_norm share
-    pde.l1_norm of each field through TrackingProblem._memo_norm, so one
+    penalty_norm, pde.l1_norm, of each field through _memo_norm, so one
     iteration sums m |u| over u and over v once each.
     """
+
+    penalty_norm = staticmethod(l1_norm)
 
     grid: Grid
     reg_beta: float
@@ -74,7 +76,7 @@ class EllipticProblem(TrackingProblem):
             u.values > self.upper.values + tol
         ):
             return math.inf
-        return self.reg_beta * self._memo_norm(u, l1_norm)
+        return self.reg_beta * self._memo_norm(u)
 
     def lmo(self, p: ControlField) -> ControlField:
         """Nodewise minimizer of p*v + beta*|v| over [lower, upper].
@@ -92,7 +94,7 @@ class EllipticProblem(TrackingProblem):
         return p.with_values(vals)
 
     def dual_norm(self, u: ControlField) -> float:
-        return self._memo_norm(u, l1_norm)
+        return self._memo_norm(u)
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """beta-weighted l1 norm of u + s du; the box holds on [0, 1]."""

@@ -37,11 +37,13 @@ from gcg.tracking import TrackingProblem
 class ParabolicProblem(TrackingProblem):
     """One heat tracking instance on a space-time grid.
 
-    g_eval, dual_norm and g_along share the squared slice norms
-    slice_sq_norms of each field through TrackingProblem._memo_norm, so
-    one iteration takes those norms of u and of v once each; the report's
-    growth_measure and structure read them there too, once per field.
+    g_eval, dual_norm and g_along share penalty_norm, the squared slice
+    norms, of each field through _memo_norm, so one iteration takes those
+    norms of u and of v once each; the report's growth_measure and
+    structure read them there too, once per field.
     """
+
+    penalty_norm = staticmethod(slice_sq_norms)
 
     grid: SpaceTimeGrid
     conductivity: float
@@ -69,7 +71,7 @@ class ParabolicProblem(TrackingProblem):
 
     def _slice_norms(self, u: ControlField) -> np.ndarray:
         """slice_l2_norms(u), the square root of the memo's squared norms."""
-        return np.sqrt(self._memo_norm(u, slice_sq_norms))
+        return np.sqrt(self._memo_norm(u))
 
     def g_eval(self, u: ControlField) -> float:
         """Weighted time-l1 of slice norms; infinite outside the slice ball."""
@@ -104,7 +106,7 @@ class ParabolicProblem(TrackingProblem):
         w = grid.space.mass_weights()
         u_sl = grid.as_slices(u.values)
         d_sl = grid.as_slices(du)
-        a0 = self._memo_norm(u, slice_sq_norms)
+        a0 = self._memo_norm(u)
         a1 = (u_sl * d_sl) @ w
         a2 = (d_sl**2) @ w
         tau, alpha = grid.tau, self.reg_alpha

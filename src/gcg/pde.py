@@ -156,20 +156,20 @@ class SpaceTimeGrid:
         return self.field(np.zeros(self.n_nodes))
 
 
-def check_residual(operator, norm, y, rhs, label="linear solve", first=0):
+def check_residual(operator, y, rhs, label="linear solve", first=0):
     """Raise ResidualCheckError unless every row of y solves M y = rhs.
 
     A row passes when |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf),
     a backward error that a stable solve meets whatever the condition of M.
     operator gives |M y_i - r_i| of every row by its residual method, and
-    norm is |M|_inf, computed once per operator.  y and rhs hold one vector
-    or one per row.  The message names the first failed row
+    |M|_inf as its norm, computed once per operator.  y and rhs hold one
+    vector or one per row.  The message names the first failed row
     label.format(first + i).
     """
     y = y.reshape(-1, y.shape[-1])
     rhs = rhs.reshape(y.shape)
     resid = operator.residual(y, rhs).max(axis=1)
-    scale = norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
+    scale = operator.norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
     bad = np.flatnonzero(~(resid <= _BACKWARD_TOL * scale))
     if bad.size:
         i = bad[0]
@@ -285,7 +285,6 @@ class PoissonSolver:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.stencil = _Stencil(grid)
-        self._norm = self.stencil.norm
         self._basis = _SineBasis(grid)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -296,7 +295,7 @@ class PoissonSolver:
         self._basis.change(rhs[None], y)
         y /= self._basis.eigenvalues
         self._basis.change(y, y)
-        check_residual(self.stencil, self._norm, y[0], rhs)
+        check_residual(self.stencil, y[0], rhs)
         return y[0]
 
 
@@ -318,7 +317,6 @@ class HeatOperator:
         if conductivity <= 0.0:
             raise ValueError("conductivity must be positive")
         self.grid = grid
-        self.conductivity = conductivity
         space = grid.space
         self.step = _Stencil(space, 1.0, grid.tau * conductivity)
         self._basis = _SineBasis(space)
@@ -360,9 +358,7 @@ class HeatOperator:
             else:
                 prev = states[max(b0 - 1, 0) : b1 - 1]
                 rhs[rhs.shape[0] - prev.shape[0] :] += prev
-            check_residual(
-                self.step, self.step.norm, states[b0:b1], rhs, "heat step {}", b0
-            )
+            check_residual(self.step, states[b0:b1], rhs, "heat step {}", b0)
 
 
 def l1_norm(u: ControlField) -> float:

@@ -20,6 +20,7 @@ solver bundle once.  An instance class mixes it in and supplies:
     solve_adjoint(values)       S* applied to nodal values
     g_eval, lmo, dual_norm      the nonsmooth term, its oracle and dual norm
     g_along(u, du)              callable s -> g(u + s du) for s in [0, 1]
+    penalty_norm(u)             the norm of u that _memo_norm memoises
 
 and, for the run diagnostics, lipschitz_estimate, growth_quantum,
 growth_measure(p, eps) and structure(u, p).
@@ -46,41 +47,38 @@ class TrackingProblem:
     that follows a gradient evaluation at the same iterate reuses its
     state, with the same floats.  It also keeps the f(u) that f_and_grad
     computed, which line_objective takes as its f0.  line_objective keeps
-    the segment it priced, and step builds the accepted point from the
-    segment's difference v - u and seeds the memo with the state
-    y_u + s dy carried from it, so the state is solved afresh only for a
-    field no step made.  Carried states drift from a fresh solve by
-    rounding; gcg_solve evaluates at a new field before it stops.  The memo
-    assumes that no field's values are changed in place; the solver makes
-    every iterate a new ControlField.  _memo_norm keeps a second memo, of
-    the penalty's norm of the last _NORM_SLOTS fields, also keyed by
-    identity; it holds its fields weakly and keeps no values alive.
+    v, v - u and S (v - u) until the memo leaves u; step builds the
+    accepted point from that difference and seeds the memo with the state
+    S u + s S (v - u), so the state is solved afresh only for a field no
+    step made.  Carried states drift from a fresh solve by rounding;
+    gcg_solve evaluates at a new field before it stops.  The memo assumes
+    that no field's values are changed in place; the solver makes every
+    iterate a new ControlField.  _memo_norm keeps a second memo, of
+    penalty_norm of the last _NORM_SLOTS fields, also keyed by identity;
+    it holds its fields weakly and keeps no values alive.
 
-    The segment's curvature f2 = |S (v - u)|**2 needs no field of its own:
-    armijo_step recovers it to rounding as 2 (phi(1) - j(u) + gap) and
-    starts its search at the step that curvature guarantees.
+    The segment's curvature |S (v - u)|**2 needs no field: armijo_step
+    recovers it from phi(1) and starts where it guarantees a pass.
     """
 
     # (u, S u, f(u) or None until f_and_grad computes it)
     _memo: Optional[tuple[ControlField, np.ndarray, Optional[float]]] = None
-    # (u, v, v - u, S u, S (v - u)) of the last segment line_objective priced
-    _segment: Optional[
-        tuple[ControlField, ControlField, np.ndarray, np.ndarray, np.ndarray]
-    ] = None
+    # (v, v - u, S (v - u)) of the last segment priced from the memo's u
+    _segment: Optional[tuple[ControlField, np.ndarray, np.ndarray]] = None
 
     # ((weak reference to a field, its norm), ...), newest first
     _norm_memo = ()
 
-    def _memo_norm(self, u: ControlField, norm: Callable):
-        """norm(u), from the memo when u is one of the last fields seen.
+    def _memo_norm(self, u: ControlField):
+        """penalty_norm(u), from the memo when u is one of the last fields seen.
 
-        An instance passes one norm, the one its g_eval, dual_norm and
-        g_along share, so one iteration takes it of u and of v once each.
+        The instance's g_eval, dual_norm and g_along share its one
+        penalty_norm, so one iteration takes it of u and of v once each.
         """
         for ref, value in self._norm_memo:
             if ref() is u:
                 return value
-        value = norm(u)
+        value = self.penalty_norm(u)
         kept = self._norm_memo[: _NORM_SLOTS - 1]
         self._norm_memo = ((weakref.ref(u), value),) + kept
         return value
@@ -88,7 +86,7 @@ class TrackingProblem:
     def _state_at(self, u: ControlField) -> np.ndarray:
         if self._memo is not None and self._memo[0] is u:
             return self._memo[1]
-        self._memo = None  # release the old state before solving for the new
+        self._memo = self._segment = None  # the segment goes with its u
         y = self.solve_state(u.values)
         self._memo = (u, y, None)
         return y
@@ -126,7 +124,7 @@ class TrackingProblem:
             f0 = 0.5 * float(np.dot(mass, resid**2))
         f1 = float(np.dot(mass, np.multiply(resid, dy, out=resid)))
         f2 = float(np.dot(mass, np.multiply(dy, dy, out=resid)))
-        self._segment = (u, v, du, y_u, dy)
+        self._segment = (v, du, dy)
 
         def phi(s: float) -> float:
             return f0 + s * f1 + 0.5 * s * s * f2 + g_along(s)
@@ -136,16 +134,17 @@ class TrackingProblem:
     def step(self, u: ControlField, v: ControlField, s: float) -> ControlField:
         """The point u + s (v - u), with its state when the segment was priced.
 
-        When (u, v) is, by identity, the pair of the last line_objective
-        call, the point is s du + u from the kept difference du = v - u,
-        the floats of u.blend(v, s), and the memo takes the state
-        S u + s S (v - u); the segment is then released.  Otherwise the
-        point is a plain blend.
+        When the memo still holds u and v is the v of the last segment, by
+        identity, the point is s du + u from the kept du = v - u, the floats
+        of u.blend(v, s), and the memo takes the state S u + s S (v - u);
+        the segment is then released.  Otherwise, also after a solve raised
+        and released the memo and the segment, the point is a plain blend.
         """
         segment, self._segment = self._segment, None
-        if segment is None or segment[0] is not u or segment[1] is not v:
+        if segment is None or segment[0] is not v or self._memo[0] is not u:
             return u.blend(v, s)
-        _, _, du, y_u, dy = segment
+        _, du, dy = segment
+        y_u = self._memo[1]
         values = s * du
         values += u.values
         w = u.with_values(values)

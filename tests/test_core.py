@@ -145,17 +145,16 @@ def test_dual_gap_rejects_nonfinite():
 def test_armijo_full_step():
     # condition 2s <= 4s - 2s^2 holds for every s <= 1, so n = 0
     prob = scalar_problem(1.0)
-    u, v = field(-1.0), field(1.0)
-    step, n = armijo_step(u, v, 4.0, prob, ArmijoParams(0.5, 0.5), 2.0)
+    phi = segment_phi(prob, field(-1.0), field(1.0))
+    step, n = armijo_step(phi, 2.0, 4.0, ArmijoParams(0.5, 0.5))
     assert (step, n) == (1.0, 0)
-    assert segment_phi(prob, u, v)(step) == 0.0
+    assert phi(step) == 0.0
 
 
 def test_armijo_one_backtrack():
     # f(u) = u^2/2 at u=1 towards v=-1: condition s <= 2s - 2s^2 iff s <= 1/2
-    prob = scalar_problem(0.0)
-    u, v = field(1.0), field(-1.0)
-    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.5), 0.5)
+    phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
+    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.5))
     assert (step, n) == (0.5, 1)
 
 
@@ -170,25 +169,19 @@ def segment_phi(problem, u, v):
     return phi
 
 
-def counting(problem, probes):
-    """The same problem, with every segment evaluation appended to probes."""
+def counting(phi, probes):
+    """The same phi, with every evaluation appended to probes."""
 
-    def line_objective(u, v):
-        phi = segment_phi(problem, u, v)
+    def counted(s):
+        probes.append(s)
+        return phi(s)
 
-        def counted(s):
-            probes.append(s)
-            return phi(s)
-
-        return counted
-
-    return dataclasses.replace(problem, line_objective=line_objective)
+    return counted
 
 
-def scan_tests(u, v, gap, problem, params, j_u):
+def scan_tests(phi, j_u, gap, params):
     """The test at n = 0, 1, 2, ... as (step, j, passed), until the scan stops
     for a reason other than a pass: the target underflows or the budget ends."""
-    phi = segment_phi(problem, u, v)
     budget = params.max_backtracks
     for n in itertools.count() if budget is None else range(budget + 1):
         s = params.gamma**n
@@ -199,10 +192,10 @@ def scan_tests(u, v, gap, problem, params, j_u):
         yield s, j_s, target <= j_u - j_s
 
 
-def scan_armijo_step(u, v, gap, problem, params, j_u):
+def scan_armijo_step(phi, j_u, gap, params):
     """Reference: the linear scan over n = 0, 1, 2, ... that armijo_step replaced."""
     n = -1
-    for n, (s, _, passed) in enumerate(scan_tests(u, v, gap, problem, params, j_u)):
+    for n, (s, _, passed) in enumerate(scan_tests(phi, j_u, gap, params)):
         if passed:
             return s, n
     raise LineSearchError("reference scan exhausted", n + 1)
@@ -215,24 +208,31 @@ def search_outcome(search, *args, **kwargs):
         return LineSearchError
 
 
-def assert_matches_scan(u, v, gap, problem, params):
-    j_u = segment_phi(problem, u, v)(0.0)
-    got = search_outcome(armijo_step, u, v, gap, problem, params, j_u)
-    want = search_outcome(scan_armijo_step, u, v, gap, problem, params, j_u)
+def assert_matches_scan(phi, j_u, gap, params):
+    got = search_outcome(armijo_step, phi, j_u, gap, params)
+    want = search_outcome(scan_armijo_step, phi, j_u, gap, params)
     assert got == want
     return got
 
 
 def test_armijo_gamma_099_takes_69_trials():
     probes = []
-    prob = counting(scalar_problem(0.0), probes)
-    u, v = field(1.0), field(-1.0)
-    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, 0.99), 0.5)
+    phi = counting(segment_phi(scalar_problem(0.0), field(1.0), field(-1.0)), probes)
+    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.99))
     assert n == 69 == math.ceil(math.log(0.5) / math.log(0.99))
     assert step == 0.99**69
     # a scan from n = 0 would make 70 probes; the curvature c = 4 of this
     # segment puts the start at n = 69, so phi(1), phi(0.99**69) and
     # phi(0.99**68) decide the search
+    assert probes == [1.0, 0.99**69, 0.99**68]
+
+
+def test_search_on_a_bare_callable():
+    # the search needs phi alone: the segment above as a plain function of
+    # s, with no field and no problem, gives the same step and probes
+    probes = []
+    phi = counting(lambda s: 0.5 * (1.0 - 2.0 * s) ** 2, probes)
+    assert armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.99)) == (0.99**69, 69)
     assert probes == [1.0, 0.99**69, 0.99**68]
 
 
@@ -245,13 +245,12 @@ def test_start_that_fails_by_rounding_falls_back_to_the_gallop():
     alpha, gamma = 0.1, 0.9
     assert (1.0 - alpha) == gamma and Fraction(1) - Fraction(alpha) < Fraction(gamma)
     probes = []
-    prob = counting(scalar_problem(0.0), probes)
-    u, v = field(1.0), field(-1.0)
+    phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
     params = ArmijoParams(alpha, gamma)
     j_u = 0.5
-    assert not alpha * gamma * 2.0 <= j_u - segment_phi(prob, u, v)(gamma)
-    got = armijo_step(u, v, 2.0, prob, params, j_u)
-    assert got == scan_armijo_step(u, v, 2.0, prob, params, j_u) == (gamma**2, 2)
+    assert not alpha * gamma * 2.0 <= j_u - phi(gamma)
+    got = armijo_step(counting(phi, probes), j_u, 2.0, params)
+    assert got == scan_armijo_step(phi, j_u, 2.0, params) == (gamma**2, 2)
     # phi(1), the failed start, then the gallop from n = 0: n = 2, then 1
     assert probes == [1.0, gamma, gamma**2, gamma]
 
@@ -265,14 +264,17 @@ def test_start_that_overshoots_walks_down_by_doubling():
         r = w.values - 0.5
         return float(np.sum(np.cosh(r) - 1.0)), w.with_values(np.sinh(r))
 
-    prob = CompositeProblem(smooth, lambda w: 0.0, None, None)
     u, v = field(0.0), field(5.0)
+
+    def phi(s):
+        return smooth(u.blend(v, s))[0]
+
     j_u, grad = smooth(u)
     gap = pairing(grad, u.diff(v))
     params = ArmijoParams(0.5, 0.99)
     probes = []
-    got = armijo_step(u, v, gap, counting(prob, probes), params, j_u)
-    assert got == scan_armijo_step(u, v, gap, prob, params, j_u) == (0.99**232, 232)
+    got = armijo_step(counting(phi, probes), j_u, gap, params)
+    assert got == scan_armijo_step(phi, j_u, gap, params) == (0.99**232, 232)
     exponents = [round(math.log(s) / math.log(0.99)) for s in probes]
     # phi(1), the start, the walk 355, 353, 349, ..., 229 that passes the
     # scan's n, and a bisection of (229, 233)
@@ -281,7 +283,7 @@ def test_start_that_overshoots_walks_down_by_doubling():
     # a budget below the start clamps it there, and the walk starts from it
     probes.clear()
     budgeted = ArmijoParams(0.5, 0.99, max_backtracks=300)
-    assert armijo_step(u, v, gap, counting(prob, probes), budgeted, j_u) == got
+    assert armijo_step(counting(phi, probes), j_u, gap, budgeted) == got
     assert round(math.log(probes[1]) / math.log(0.99)) == 300
 
 
@@ -290,30 +292,27 @@ def test_start_without_a_usable_curvature_gallops(j_v):
     # phi(1) infinite or NaN gives no curvature, and phi(1) = 1e300 against
     # gap = 1e-300 puts the floor 2 (1 - alpha) gap / c below the smallest
     # double: each search gallops from n = 0 and returns the scan's outcome
-    def smooth(w):
-        s = w.values[0]
-        return (j_v if s == 1.0 else -0.5 * s * 1e-300), w
+    def phi(s):
+        return j_v if s == 1.0 else -0.5 * s * 1e-300
 
-    prob = CompositeProblem(smooth, lambda w: 0.0, None, None)
-    u, v = field(0.0), field(1.0)
     for params in (ArmijoParams(0.5, 0.5), ArmijoParams(0.5, 0.5, 40)):
-        assert search_outcome(armijo_step, u, v, 1e-300, prob, params, 0.0) == (
-            search_outcome(scan_armijo_step, u, v, 1e-300, prob, params, 0.0)
+        assert search_outcome(armijo_step, phi, 0.0, 1e-300, params) == (
+            search_outcome(scan_armijo_step, phi, 0.0, 1e-300, params)
         )
 
 
 def test_armijo_requires_positive_gap():
-    prob = scalar_problem(0.0)
+    phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
     with pytest.raises(ValueError):
-        armijo_step(field(1.0), field(-1.0), 0.0, prob, ArmijoParams(), 0.5)
+        armijo_step(phi, 0.5, 0.0, ArmijoParams())
 
 
 def test_armijo_exhaustion_raises():
     # u == v means no descent is possible; an overstated gap must be detected
-    prob = scalar_problem(0.0)
     u = field(0.5)
+    phi = segment_phi(scalar_problem(0.0), u, u)
     with pytest.raises(LineSearchError) as raised:
-        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=12), 0.125)
+        armijo_step(phi, 0.125, 1.0, ArmijoParams(0.5, 0.5, max_backtracks=12))
     assert raised.value.exponent == 13  # the first exponent past the budget
 
 
@@ -323,10 +322,10 @@ def test_armijo_step_underflow_raises():
     # trivially, so the search must refuse it rather than freeze the
     # iterate and report success.
     probes = []
-    prob = counting(scalar_problem(0.0), probes)
     u = field(0.5)
+    phi = counting(segment_phi(scalar_problem(0.0), u, u), probes)
     with pytest.raises(LineSearchError) as raised:
-        armijo_step(u, u, 1.0, prob, ArmijoParams(0.5, 0.5, max_backtracks=5000), 0.125)
+        armijo_step(phi, 0.125, 1.0, ArmijoParams(0.5, 0.5, max_backtracks=5000))
     assert raised.value.exponent == 1074
     # the target 0.5 * 0.5**n first underflows at n = 1074; a scan probes
     # every n below that
@@ -339,10 +338,9 @@ def test_default_budget_reaches_short_steps():
     # needs, at n near 6.9e6, far past any fixed budget of a few thousand
     assert ArmijoParams().max_backtracks is None
     gamma = 0.9999999
-    prob, u, v = scalar_problem(0.0), field(1.0), field(-1.0)
-    step, n = armijo_step(u, v, 2.0, prob, ArmijoParams(0.5, gamma), 0.5)
+    phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
+    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, gamma))
     assert step == gamma**n and 6_000_000 < n < 8_000_000
-    phi = segment_phi(prob, u, v)
     assert 0.5 * step * 2.0 <= phi(0.0) - phi(step)
     assert 0.5 * gamma ** (n - 1) * 2.0 > phi(0.0) - phi(gamma ** (n - 1))
 
@@ -367,52 +365,50 @@ def test_failed_search_records_where_it_stopped():
 
 
 def test_armijo_matches_scan_on_edge_cases():
-    full = scalar_problem(1.0)
-    assert assert_matches_scan(
-        field(-1.0), field(1.0), 4.0, full, ArmijoParams(0.5, 0.5)
-    ) == (1.0, 0)
+    full = segment_phi(scalar_problem(1.0), field(-1.0), field(1.0))
+    assert assert_matches_scan(full, full(0.0), 4.0, ArmijoParams(0.5, 0.5)) == (1.0, 0)
     # f = u^2/2 from u = 1 towards v = -7 with gap 8: the test reads
     # 4s <= 8s - 32s^2, which holds with equality at s = 1/8 = 0.5**3
-    wide = scalar_problem(0.0, lower=-8.0)
-    u, v = field(1.0), field(-7.0)
-    tie = assert_matches_scan(u, v, 8.0, wide, ArmijoParams(0.5, 0.5))
+    wide = segment_phi(scalar_problem(0.0, lower=-8.0), field(1.0), field(-7.0))
+    tie = assert_matches_scan(wide, wide(0.0), 8.0, ArmijoParams(0.5, 0.5))
     assert tie == (0.125, 3)
-    assert 0.5 * 0.125 * 8.0 == 0.5 - segment_phi(wide, u, v)(0.125)  # j(u) = 0.5
+    assert 0.5 * 0.125 * 8.0 == 0.5 - wide(0.125)  # j(u) = 0.5
     # the minimal n exactly at the budget returns; one above it raises
     for budget, want in ((3, tie), (2, LineSearchError)):
         params = ArmijoParams(0.5, 0.5, max_backtracks=budget)
-        assert assert_matches_scan(u, v, 8.0, wide, params) == want
-    prob = scalar_problem(0.0)
-    u, v = field(1.0), field(-1.0)
-    at_budget = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, 0.99, 69))
+        assert assert_matches_scan(wide, wide(0.0), 8.0, params) == want
+    phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
+    at_budget = assert_matches_scan(phi, phi(0.0), 2.0, ArmijoParams(0.5, 0.99, 69))
     assert at_budget[1] == 69
-    over = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, 0.99, 68))
+    over = assert_matches_scan(phi, phi(0.0), 2.0, ArmijoParams(0.5, 0.99, 68))
     assert over is LineSearchError
     # f = |w|^2 / 2 from u = e_4 towards v = -e_4 with gap 2: the test passes
     # at n = 1, and at n = 2 the decrease 2e-20 rounds to 0 against j(u) = 0.5.
     # A gallop from n = 0 straight to n = 2 would pass over n = 1 and raise
-    quad = CompositeProblem(
-        lambda w: (0.5 * float(w.values @ w.values), w), lambda w: 0.0, None, None
-    )
     e4 = field(0.0, 0.0, 0.0, 1.0)
+
+    def quad(s):
+        w = e4.blend(e4.with_values(-e4.values), s).values
+        return 0.5 * float(w @ w)
+
     params = ArmijoParams(0.5, 1e-10, max_backtracks=2)
-    rounded = assert_matches_scan(e4, e4.with_values(-e4.values), 2.0, quad, params)
+    rounded = assert_matches_scan(quad, quad(0.0), 2.0, params)
     assert rounded[:2] == (1e-10, 1)
     # with gamma = eps the scan's n = 1 lies at the rounding of j(u) itself:
     # the decrease is 2 eps against j(u) = 0.5, and the test still passes
     eps = float(np.finfo(float).eps)
-    at_rounding = assert_matches_scan(u, v, 2.0, prob, ArmijoParams(0.5, eps, 1))
+    at_rounding = assert_matches_scan(phi, phi(0.0), 2.0, ArmijoParams(0.5, eps, 1))
     assert at_rounding == (eps, 1)
-    assert segment_phi(prob, u, v)(eps) == 0.5 - 2.0 * eps
+    assert phi(eps) == 0.5 - 2.0 * eps
     # u == v: no decrease at any step, so the target underflows and both raise
-    same = field(0.5)
-    assert assert_matches_scan(same, same, 1.0, prob, ArmijoParams(0.5, 0.5)) is LineSearchError
+    same = segment_phi(scalar_problem(0.0), field(0.5), field(0.5))
+    assert assert_matches_scan(same, same(0.0), 1.0, ArmijoParams(0.5, 0.5)) is LineSearchError
 
 
 @st.composite
 def convex_segment(draw):
-    """A smooth convex term plus a mass-weighted |.| term, and a segment of
-    positive gap.  The smooth term is a quadratic, where the search starts
+    """phi along a segment of positive gap, and the gap, for a smooth convex
+    term plus a mass-weighted |.| term.  The smooth term is a quadratic, where the search starts
     at the step its curvature guarantees, or sum m k (cosh(w - t) - 1),
     where that start is only a guess that can overshoot or fail."""
     n = draw(st.integers(1, 4))
@@ -438,12 +434,16 @@ def convex_segment(draw):
     def nonsmooth(w):
         return beta * float(np.dot(mass, np.abs(w.values)))
 
-    prob = CompositeProblem(smooth, nonsmooth, lmo=None, dual_norm=None)
     u = ControlField(np.array(draw(coords)), mass)
     v = ControlField(np.array(draw(coords)), mass)
     _, grad = smooth(u)
     gap = pairing(grad, u.diff(v)) + nonsmooth(u) - nonsmooth(v)
-    return prob, u, v, gap
+
+    def phi(s):
+        w = u.blend(v, s)
+        return smooth(w)[0] + nonsmooth(w)
+
+    return phi, gap
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,17 +454,17 @@ def convex_segment(draw):
     budget=st.integers(1, 3000),
 )
 def test_armijo_matches_linear_scan(segment, alpha, gamma, budget):
-    prob, u, v, gap = segment
+    phi, gap = segment
     assume(math.isfinite(gap) and gap > 0.0)
-    j_u = segment_phi(prob, u, v)(0.0)
+    j_u = phi(0.0)
     params = ArmijoParams(alpha, gamma, budget)
-    tests = list(scan_tests(u, v, gap, prob, params, j_u))
+    tests = list(scan_tests(phi, j_u, gap, params))
     passes = [passed for _, _, passed in tests]
     first = passes.index(True) if True in passes else len(passes)
-    got = search_outcome(armijo_step, u, v, gap, prob, params, j_u)
+    got = search_outcome(armijo_step, phi, j_u, gap, params)
     if all(passes[first:]):
         # the computed test is monotone in n, as it is in exact arithmetic
-        assert got == search_outcome(scan_armijo_step, u, v, gap, prob, params, j_u)
+        assert got == search_outcome(scan_armijo_step, phi, j_u, gap, params)
     elif got is LineSearchError:
         # past the first pass the decrease fell below rounding and the test
         # failed again, so the search may bracket a later switch; it raises

@@ -135,7 +135,7 @@ def test_g_eval_box_and_penalty():
 
 
 def test_l1_norms_are_summed_once_per_field(monkeypatch):
-    # g_eval, dual_norm and the bracket's a0 share one sum of m |u| per
+    # g_eval and dual_norm share one sum of m |u|, penalty_norm, per
     # field, so a solve sums it at most once for each distinct field, and
     # its history is the one of a solve that sums it at every call
     prob = make_example("stadler-ex3", 8)
@@ -146,14 +146,14 @@ def test_l1_norms_are_summed_once_per_field(monkeypatch):
         summed.append(field)  # keeps every field alive: ids stay distinct
         return l1_norm(field)
 
-    monkeypatch.setattr("gcg.elliptic.l1_norm", counted)
+    monkeypatch.setattr(EllipticProblem, "penalty_norm", staticmethod(counted))
     memoised = gcg_solve(prob.composite(), prob.zero_control(), config)
     assert len(memoised.history) == 41
     assert len(summed) >= len(memoised.history)
     assert len({id(field) for field in summed}) == len(summed)
 
-    def unmemoised(self, u, norm):
-        return norm(u)
+    def unmemoised(self, u):
+        return self.penalty_norm(u)
 
     monkeypatch.setattr(EllipticProblem, "_memo_norm", unmemoised)
     direct = gcg_solve(prob.composite(), prob.zero_control(), config)

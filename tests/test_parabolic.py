@@ -313,7 +313,7 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     def passes_over(*fields):
         return len(passes) == len(fields) and all(map(operator.is_, passes, fields))
 
-    monkeypatch.setattr("gcg.parabolic.slice_sq_norms", counted)
+    monkeypatch.setattr(ParabolicProblem, "penalty_norm", staticmethod(counted))
     got = (prob.g_eval(u), prob.g_eval(v), prob.dual_norm(u), prob.dual_norm(v))
     g_along = prob.g_along(u, du)
     assert passes_over(u, v)
@@ -354,7 +354,7 @@ def test_report_reads_slice_norms_from_the_memo(monkeypatch):
         passes.append(field)
         return slice_sq_norms(field)
 
-    monkeypatch.setattr("gcg.parabolic.slice_sq_norms", counted)
+    monkeypatch.setattr(ParabolicProblem, "penalty_norm", staticmethod(counted))
     epsilons = [2.0**-k for k in range(1, 19)]
     measures = [prob.growth_measure(p, eps) for eps in epsilons]
     rep = prob.structure(u, p)

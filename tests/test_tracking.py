@@ -18,6 +18,7 @@ from gcg.core import (
     dual_gap,
     gcg_solve,
 )
+from gcg.pde import ResidualCheckError
 
 BUILDERS = {
     "elliptic": lambda: elliptic.make_example("stadler-ex1", 12),
@@ -153,7 +154,7 @@ def test_final_row_comes_from_a_fresh_evaluation(stop):
     assert np.array_equal(result.final_gradient.values, p.values)
     if status is SolveStatus.LINE_SEARCH_FAILED:
         with pytest.raises(LineSearchError) as failed:
-            armijo_step(u, v, gap, fresh.composite(), ArmijoParams(), last.j_value)
+            armijo_step(fresh.line_objective(u, v), last.j_value, gap, ArmijoParams())
         assert failed.value.exponent == last.backtracks
 
 
@@ -190,6 +191,34 @@ def test_step_carries_the_state_of_the_priced_segment_only(kind):
     # the segment is released: the same pair again is a plain blend
     calls.clear()
     z = prob.step(u, v, s)
+    prob.f_and_grad(z)
+    assert len(calls) == 1
+
+    # the memo moved to another field since the pricing: a plain blend,
+    # from u as from that field
+    for start in (u, w):
+        prob.f_and_grad(u)
+        prob.line_objective(u, v)
+        prob.f_and_grad(w)
+        calls.clear()
+        z = prob.step(start, v, s)
+        assert np.array_equal(z.values, start.blend(v, s).values)
+        prob.f_and_grad(z)
+        assert len(calls) == 1
+
+    # a solve that raised left no memo: a plain blend too
+    def failing(values):
+        raise ResidualCheckError("the state solve failed its check")
+
+    prob.line_objective(u, v)
+    solve, prob.solve_state = prob.solve_state, failing
+    with pytest.raises(ResidualCheckError):
+        prob.f_and_grad(x)
+    prob.solve_state = solve
+    assert prob._memo is None
+    calls.clear()
+    z = prob.step(u, v, s)
+    assert np.array_equal(z.values, u.blend(v, s).values)
     prob.f_and_grad(z)
     assert len(calls) == 1
 
@@ -233,7 +262,7 @@ def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
         j_u = f_u + g_u
         gap = dual_gap(u, grad, g_u, v, prob.g_eval(v), slack=1e-12 * (abs(j_u) + 1.0))
         j_v = prob.line_objective(u, v)(1.0)
-        dy = prob._segment[4]
+        dy = prob._segment[2]
         norm_sq = float(np.dot(u.mass, dy * dy))
         assert norm_sq > 0.0
         c = 2.0 * (j_v - j_u + gap)
@@ -259,18 +288,16 @@ def logged_searches(monkeypatch) -> list:
     searches = []
     search = core.armijo_step
 
-    def logged(u, v, gap, problem, params, j_u):
-        phi = problem.line_objective(u, v)
+    def logged(phi, j_u, gap, params):
         priced = []
 
         def counted(s):
             priced.append(s)
             return phi(s)
 
-        problem = dataclasses.replace(problem, line_objective=lambda u, v: counted)
         outcome = None
         try:
-            outcome = search(u, v, gap, problem, params, j_u)
+            outcome = search(counted, j_u, gap, params)
             return outcome
         except LineSearchError as exc:
             outcome = ("raised", exc.exponent)
