@@ -221,7 +221,7 @@ def run(config: RunConfig) -> int:
         prob = _REGISTRY[config.problem][0](config)
         u0 = prob.zero_control()
         field_header(u0.meta)  # refuse a grid control.txt cannot describe
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,9 +49,8 @@ import numpy as np
 class LineSearchError(RuntimeError):
     """Backtracking stopped without sufficient decrease.
 
-    exponent is the n where the search stopped, the first n it did not
-    test: where the decrease target underflows, or max_backtracks + 1 when
-    a budget ran out first.
+    exponent is the n where the search stopped: the first n whose decrease
+    target underflows to 0.0, which the search does not test.
     """
 
     def __init__(self, message: str, exponent: int):
@@ -164,23 +163,16 @@ class CompositeProblem:
 
 @dataclass(frozen=True)
 class ArmijoParams:
-    """Backtracking parameters: sufficient-decrease fraction and mesh ratio.
-
-    max_backtracks caps the exponent n of a trial step gamma**n.  With the
-    default None only the underflow of the decrease target ends a search.
-    """
+    """Backtracking parameters: sufficient-decrease fraction and mesh ratio."""
 
     alpha: float = 0.5
     gamma: float = 0.99
-    max_backtracks: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 1/2]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.max_backtracks is not None and self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -299,24 +291,23 @@ def armijo_step(
     Requires gap > 0.
 
     An upward scan from n = 0 would stop at the first n where the test
-    passes, where the decrease target alpha * gamma**n * gap underflows to
-    0.0, or where n exceeds max_backtracks if one is set.  For convex f and
-    g each of the three is monotone in n (see the module docstring), so the
-    search brackets the first n where one holds and bisects the bracket
-    down to it: the scan's n, or LineSearchError where the scan raises.  A
-    full step costs one probe.
+    passes or where the decrease target alpha * gamma**n * gap underflows
+    to 0.0.  For convex f and g both are monotone in n (see the module
+    docstring), so the search brackets the first n where one holds and
+    bisects the bracket down to it: the scan's n, or LineSearchError where
+    the scan raises.  A full step costs one probe.
 
     The probe at n = 0 prices phi(1) = j(v).  When the test fails there,
     c = 2 (phi(1) - j(u) + gap) is the curvature of a quadratic f along the
     segment, |S (v - u)|**2 for the bundled instances, and the test passes
     at every s <= 2 (1 - alpha) gap / c (module docstring).  The search
     starts at the first n with gamma**n at most that floor, capped at the
-    budget and at the rounding level of the next paragraph.  Where the test
-    passes there, it walks down over n - 1, n - 3, n - 7, ... to an n where
-    the scan goes on and bisects; a start a few exponents too deep costs a
-    few probes.  Where it fails, which only rounding, those limits or a
-    non-quadratic f can cause, the start is dropped and the search gallops
-    over n = 0, 2, 6, 14, ... instead.
+    rounding level of the next paragraph.  Where the test passes there, it
+    walks down over n - 1, n - 3, n - 7, ... to an n where the scan goes on
+    and bisects; a start a few exponents too deep costs a few probes.  Where
+    it fails, which only rounding, that cap or a non-quadratic f can cause,
+    the start is dropped and the search gallops over n = 0, 2, 6, 14, ...
+    instead.
 
     Rounding breaks the monotonicity once the decrease j(u) - j(u + s (v-u))
     falls below the rounding of j(u), about 8 eps |j(u)|: there the test can
@@ -332,22 +323,15 @@ def armijo_step(
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
     alpha, gamma = params.alpha, params.gamma
-    budget = params.max_backtracks
-    limit = math.inf if budget is None else budget + 1
-
-    def target(n: int) -> float:
-        """alpha * gamma**n * gap, or 0.0 where the scan stops untested."""
-        # an underflowed target would accept any non-increase, including a
-        # step too small to move the iterate at all; so it stops the scan
-        # like an exhausted budget
-        return 0.0 if n >= limit else alpha * gamma**n * gap
 
     def stops_at(n: int) -> tuple[bool, bool]:
         """Whether the scan stops at n, and whether the test passes there."""
-        t = target(n)
-        if t == 0.0:
+        target = alpha * gamma**n * gap
+        # an underflowed target would accept any non-increase, including a
+        # step too small to move the iterate at all; so it stops the scan
+        if target == 0.0:
             return True, False
-        passed = t <= j_u - phi(gamma**n)
+        passed = target <= j_u - phi(gamma**n)
         return passed, passed
 
     # the last n with gamma**n * gap above the rounding of j(u)
@@ -358,14 +342,13 @@ def armijo_step(
 
     lo, hi = -1, 0  # the scan goes on at lo and stops at hi
     start = None
-    if target(0) == 0.0:
+    if alpha * gap == 0.0:
         stop, passed = True, False
     else:
         j_v = phi(1.0)
-        stop = passed = target(0) <= j_u - j_v
-        # the start stays within the budget and above the rounding of j(u),
-        # which is 0 for j(u) = 0
-        top = min(math.inf if j_u == 0.0 else edge, limit - 1)
+        stop = passed = alpha * gap <= j_u - j_v
+        # the start stays above the rounding of j(u), which is 0 for j(u) = 0
+        top = math.inf if j_u == 0.0 else edge
         half_c = j_v - j_u + gap  # c / 2
         # 2 (1 - alpha) gap / c, or 0.0 where phi(1) gives no curvature
         floor = (1.0 - alpha) * gap / half_c if half_c > 0.0 else 0.0
@@ -383,7 +366,7 @@ def armijo_step(
             hi, passed, drop = hi - drop, passed_at, 2 * drop
     else:
         while not stop:
-            lo, hi = hi, min(2 * hi + 2, limit)
+            lo, hi = hi, 2 * hi + 2
             if lo < edge < hi:
                 hi = edge
             stop, passed = stops_at(hi)

@@ -254,6 +254,19 @@ def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+def test_grid_too_large_to_allocate_exits_one(tmp_path, capsys):
+    # the first array of this grid, its 10**18 axis coordinates, needs
+    # 6.9 EiB, more than a 57-bit address space holds, so the allocation
+    # fails at once and no memory is touched
+    out_dir = tmp_path / "out"
+    argv = ["run", "--problem", "stadler-ex1", "--n", 10**18, "--out-dir", out_dir]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gcg: error: Unable to allocate")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_failed_residual_check_exits_two(tmp_path, capsys, monkeypatch):
     # a 1e-9 relative change of the largest entry of every sweep is a real
     # solve error that the backward-error check must catch

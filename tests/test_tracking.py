@@ -325,8 +325,7 @@ def scan_passes(gap, j_u, params, phi, deepest, last):
     for n in itertools.count():
         s = params.gamma**n
         target = params.alpha * s * gap
-        budget = params.max_backtracks
-        if target == 0.0 or (budget is not None and n > budget):
+        if target == 0.0:
             return passes, n
         if s < deepest and n > last:
             return passes, None
