@@ -61,6 +61,12 @@ class EllipticProblem(TrackingProblem):
         )
 
     @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        """lower - tol and upper + tol, tol = 1e-12 bound_scale: g_eval's box."""
+        tol = 1e-12 * self.bound_scale
+        return self.lower.values - tol, self.upper.values + tol
+
+    @cached_property
     def _poisson(self) -> PoissonSolver:
         return PoissonSolver(self.grid)
 
@@ -70,11 +76,9 @@ class EllipticProblem(TrackingProblem):
     solve_adjoint = solve_state  # the stencil is symmetric, so S* = S = K
 
     def g_eval(self, u: ControlField) -> float:
-        """beta-weighted l1 norm, infinite outside the box (with fp slack)."""
-        tol = 1e-12 * self.bound_scale
-        if np.any(u.values < self.lower.values - tol) or np.any(
-            u.values > self.upper.values + tol
-        ):
+        """beta-weighted l1 norm, infinite outside _box (bounds plus fp slack)."""
+        lo, up = self._box
+        if (u.values < lo).any() or (u.values > up).any():
             return math.inf
         return self.reg_beta * self._memo_norm(u)
 

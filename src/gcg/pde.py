@@ -170,9 +170,9 @@ def check_residual(operator, y, rhs, label="linear solve", first=0):
     rhs = rhs.reshape(y.shape)
     resid = operator.residual(y, rhs).max(axis=1)
     scale = operator.norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
-    bad = np.flatnonzero(~(resid <= _BACKWARD_TOL * scale))
-    if bad.size:
-        i = bad[0]
+    ok = resid <= _BACKWARD_TOL * scale
+    if not ok.all():
+        i = ok.argmin()
         raise ResidualCheckError(
             f"{label.format(first + i)} failed the residual check "
             f"(backward error {resid[i] / scale[i]:.1e})"
@@ -203,8 +203,10 @@ class _Stencil:
         flattened rows, where the neighbours along an axis of stride s sit s
         entries apart.  Each line along the axis is followed by the next, so
         the end of w that a shift would carry into the next line is zeroed
-        for that subtraction and then restored.  Contiguous shifts run much
-        faster than the same subtractions on strided slices.
+        for that subtraction and then restored.  A batch that is one line
+        along the axis (y.size == n s) has no next line, and skips that fix.
+        Contiguous shifts run much faster than the same subtractions on
+        strided slices.
         """
         c, n = self._coupling, self._n
         y = np.ascontiguousarray(y)
@@ -212,6 +214,10 @@ class _Stencil:
         out = self._diagonal * y
         w_flat, out_flat = w.reshape(-1), out.reshape(-1)
         for s in self._strides:
+            if y.size == n * s:
+                out_flat[s:] -= w_flat[:-s]
+                out_flat[:-s] -= w_flat[s:]
+                continue
             lines, y_lines = w.reshape(-1, n, s), y.reshape(-1, n, s)
             lines[:, -1] = 0.0
             out_flat[s:] -= w_flat[:-s]
@@ -568,7 +574,8 @@ def write_field(path, u: ControlField) -> None:
     10**k is an exact double for k <= 22, Dekker's TwoProduct gives
     |x| 10**k as p + err with no rounding, and p >= 10**16 > 2**53 is an
     even integer, so D = p + rint(err) (_round_scaled, _fixed_exponents).
-    +0.0 and -0.0 print as "0" and "-0" directly.  Fallback: every other
+    +0.0 and -0.0 print as "0" and "-0" directly, and a chunk of +0.0 alone
+    as one repeated "0\n", with no kernel call.  Fallback: every other
     value (scientific range, subnormals, |x| >= 1e17, inf, nan, and the
     few values next to a power of ten whose exponent log10 leaves in
     doubt) is left to CPython's "%.17g" through one % per chunk.
@@ -578,7 +585,11 @@ def write_field(path, u: ControlField) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, values.size, _DUMP_CHUNK):
-            fh.write(_format_values(values[start : start + _DUMP_CHUNK]))
+            chunk = values[start : start + _DUMP_CHUNK]
+            if chunk.view(np.uint64).any():
+                fh.write(_format_values(chunk))
+            else:  # every bit zero: all +0.0
+                fh.write("0\n" * chunk.size)
 
 
 def read_field(path) -> ControlField:

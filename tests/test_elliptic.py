@@ -132,6 +132,26 @@ def test_g_eval_box_and_penalty():
     # fp slack keeps roundoff-level violations feasible
     nudged = prob.grid.field([1.0 + 1e-13, 0.0, 0.0])
     assert math.isfinite(prob.g_eval(nudged))
+    # the slack is 1e-12 bound_scale: a node at lower - slack or upper +
+    # slack is feasible, and one double further out is not
+    grid = prob.grid
+    wide = EllipticProblem(
+        grid=grid,
+        reg_beta=0.5,
+        lower=grid.field([-30.0, -2.0, 0.0]),
+        upper=grid.field([1.0, 30.0, 0.0]),
+        target=grid.zero_field(),
+    )
+    assert wide.bound_scale == 30.0
+    slack = 1e-12 * wide.bound_scale
+    for i in range(grid.n_nodes):
+        lower, upper = wide.lower.values[i], wide.upper.values[i]
+        for edge, away in ((lower - slack, -math.inf), (upper + slack, math.inf)):
+            values = np.zeros(grid.n_nodes)
+            values[i] = edge
+            assert math.isfinite(wide.g_eval(grid.field(values)))
+            values[i] = np.nextafter(edge, away)
+            assert wide.g_eval(grid.field(values)) == math.inf
 
 
 def test_l1_norms_are_summed_once_per_field(monkeypatch):

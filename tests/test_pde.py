@@ -194,6 +194,22 @@ def test_poisson_check_catches_a_perturbed_solution(grid):
         check_residual(solver.stencil, y, rhs)
 
 
+def test_check_residual_names_the_first_failed_row():
+    # a NaN row fails like a perturbed one, and the message names the first
+    # failed row; a batch whose rows all pass raises nothing
+    grid = Grid(5, 2)
+    solver = PoissonSolver(grid)
+    rhs = np.random.default_rng(8).standard_normal((3, grid.n_nodes))
+    y = np.array([solver.solve(r) for r in rhs])
+    check_residual(solver.stencil, y, rhs, "row {}")
+    y[2, 7] *= 1.0 + 1e-9
+    with pytest.raises(ResidualCheckError, match=r"^row 2 failed the residual check"):
+        check_residual(solver.stencil, y, rhs, "row {}")
+    y[1, 3] = np.nan
+    with pytest.raises(ResidualCheckError, match=r"^row 1 failed the residual check"):
+        check_residual(solver.stencil, y, rhs, "row {}")
+
+
 SMALL_GRIDS = [Grid(n, dim) for dim in (1, 2) for n in (1, 2, 3, 5)]
 SMALL_IDS = [f"{g.n}" if g.dim == 1 else f"{g.n}x{g.n}" for g in SMALL_GRIDS]
 
@@ -202,7 +218,9 @@ SMALL_IDS = [f"{g.n}" if g.dim == 1 else f"{g.n}x{g.n}" for g in SMALL_GRIDS]
 def test_matrix_free_stencil_matches_assembled(grid):
     # the residual of A and of I + tau a A against the assembled matrices,
     # and the closed-form |M|_inf against their largest row sum; for n <= 2
-    # every row is a boundary row
+    # every row is a boundary row.  A one-row batch is one line along the
+    # widest stride, which skips the line-end fix, and must give the bits
+    # of the same row in a batch of four
     amat = _stencil(grid)
     tau_a = 0.7 / 500
     step = sparse.identity(grid.n_nodes) + tau_a * amat
@@ -218,6 +236,10 @@ def test_matrix_free_stencil_matches_assembled(grid):
             want = np.abs((assembled @ y.T).T - rhs)
             scale = free.norm * np.abs(y).max(axis=1) + np.abs(rhs).max(axis=1)
             assert np.all(np.abs(got - want) <= 8 * eps * scale[:, None])
+            for i in range(y.shape[0]):
+                row = free.residual(y[i : i + 1], rhs[i : i + 1])
+                np.testing.assert_array_equal(y, kept)
+                np.testing.assert_array_equal(row, got[i : i + 1])
 
 
 def test_poisson_solver_rejects_length_mismatch():
@@ -319,6 +341,24 @@ def test_heat_check_catches_a_perturbed_step(backward, m):
     # forward or step m - 1 going backward; the check names the first
     first = m - 1 if backward and m > 0 else m
     message = f"^heat step {first} failed the residual check"
+    with pytest.raises(ResidualCheckError, match=message):
+        heat._check_steps(forcing, states, backward)
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "adjoint"])
+def test_heat_check_of_a_one_slice_tail_block(backward):
+    # nt = 2 _CHECK_BLOCK + 1 leaves the last step alone in its check block,
+    # a one-line batch along the widest stride; only step m reads u_m, so a
+    # perturbed u_m fails that step alone
+    nt = 2 * _CHECK_BLOCK + 1
+    grid = SpaceTimeGrid(Grid(4, 2), nt=nt, horizon=1.0)
+    heat = HeatOperator(grid, 0.7)
+    forcing = np.random.default_rng(4).standard_normal((nt, grid.space.n_nodes))
+    states = heat.adjoint(forcing) if backward else heat.forward(forcing)
+    heat._check_steps(forcing, states, backward)  # the sweep itself passes
+    m = nt - 1
+    forcing[m, 5] += 1e-6
+    message = f"^heat step {m} failed the residual check"
     with pytest.raises(ResidualCheckError, match=message):
         heat._check_steps(forcing, states, backward)
 
@@ -597,6 +637,22 @@ def test_field_dump_rounds_ties_to_even():
             up += digits[-2] % 2  # an odd 17th digit rounds away from zero
     assert ties > 500 and 0 < up < ties
     assert _format_values(values).encode() == per_value_dump(values)
+
+
+def test_field_dump_of_an_all_zero_chunk(tmp_path):
+    # a chunk of +0.0 alone is written without the kernel; a chunk that
+    # holds one -0.0 among them, and a mixed tail, go through it
+    size = 2 * _DUMP_CHUNK + 5
+    values = np.zeros(size)
+    values[_DUMP_CHUNK + 17] = -0.0
+    values[2 * _DUMP_CHUNK :] = [0.0, -0.0, 0.25, 1e-300, -3.0]
+    grid = Grid(size, 1)
+    path = tmp_path / "field.txt"
+    write_field(path, grid.field(values))
+    want = (field_header(grid) + "\n").encode() + per_value_dump(values)
+    assert path.read_bytes() == want
+    back = read_field(path).values
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
 
 
 def test_field_dump_zeros_and_fallback_rows_at_chunk_edges(tmp_path):
