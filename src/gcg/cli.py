@@ -10,6 +10,10 @@ OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte for byte.
 
 Exit codes: 0 on a completed solve, 1 on usage errors, 2 on numerical
 failures, 3 on I/O failures.
+
+A run whose estimated peak, 8 bytes x RUN_ARRAYS x the nodes of its grid
+(times nt in space-time), exceeds MAX_RUN_BYTES is refused as a usage
+error before any array is built.
 """
 
 from __future__ import annotations
@@ -33,19 +37,36 @@ from .core import (
 from .pde import ResidualCheckError, field_header, write_field
 
 
-def _elliptic(config: RunConfig):
-    return elliptic.make_example(config.problem, config.n)
+# Full-size float64 arrays that a run keeps live at its peak, measured with
+# tracemalloc and pinned by tests/test_cli.py: stadler-ex1 at n = 512 peaks
+# at 20.1 of them with --track-errors and 19.0 without, parabolic-ex at 9.2
+# once its field spans a few dump chunks.  The control dump's buffers, at most
+# about 13 MB for its chunk of 2**16 values, are left out.
+RUN_ARRAYS = 21
+
+# The largest estimated peak, in bytes, of a run that gcg starts.
+MAX_RUN_BYTES = 4 * 2**30
 
 
-def _parabolic(config: RunConfig):
-    return parabolic.make_example(config.problem, config.n, config.nt)
+def _elliptic_args(config: RunConfig) -> tuple:
+    return config.problem, config.n
 
 
-# name -> (builder, default n, description); a builder looks make_example up in
-# its module at call time
+def _parabolic_args(config: RunConfig) -> tuple:
+    return config.problem, config.n, config.nt
+
+
+# name -> (instance module, the arguments of its example_grid and make_example,
+# default n, description); make_example is looked up in the module at call time
 _REGISTRY = {
-    **{name: (_elliptic, 64, text) for name, text in elliptic.ELLIPTIC_EXAMPLES.items()},
-    **{name: (_parabolic, 32, text) for name, text in parabolic.PARABOLIC_EXAMPLES.items()},
+    **{
+        name: (elliptic, _elliptic_args, 64, text)
+        for name, text in elliptic.ELLIPTIC_EXAMPLES.items()
+    },
+    **{
+        name: (parabolic, _parabolic_args, 32, text)
+        for name, text in parabolic.PARABOLIC_EXAMPLES.items()
+    },
 }
 
 
@@ -183,7 +204,7 @@ def resolve_config(args) -> RunConfig:
         known = ", ".join(sorted(_REGISTRY))
         raise UsageError(f"unknown problem {name!r} (known: {known})")
     if settings.get("n") is None:
-        settings["n"] = _REGISTRY[name][1]
+        settings["n"] = _REGISTRY[name][2]
     return RunConfig(**settings)
 
 
@@ -211,6 +232,20 @@ def _report_text(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def check_fits(grid) -> None:
+    """Refuse with ValueError a grid whose run would peak above MAX_RUN_BYTES.
+
+    The estimate is 8 bytes x RUN_ARRAYS x grid.n_nodes, from the grid
+    alone, which holds no arrays.
+    """
+    need = 8 * RUN_ARRAYS * grid.n_nodes
+    if need > MAX_RUN_BYTES:
+        raise ValueError(
+            f"a grid of {grid.n_nodes} nodes needs an estimated "
+            f"{need / 2**30:.3g} GiB, above the limit of {MAX_RUN_BYTES / 2**30:g} GiB"
+        )
+
+
 def run(config: RunConfig) -> int:
     try:
         solver_config = SolverConfig(
@@ -218,7 +253,10 @@ def run(config: RunConfig) -> int:
             max_iter=config.max_iter,
             armijo=ArmijoParams(alpha=config.alpha, gamma=config.gamma),
         )
-        prob = _REGISTRY[config.problem][0](config)
+        module, build_args = _REGISTRY[config.problem][:2]
+        args = build_args(config)
+        check_fits(module.example_grid(*args))
+        prob = module.make_example(*args)
         u0 = prob.zero_control()
         field_header(u0.meta)  # refuse a grid control.txt cannot describe
     except (ValueError, MemoryError) as exc:
@@ -271,7 +309,7 @@ def run(config: RunConfig) -> int:
 
 def list_problems() -> int:
     for name in sorted(_REGISTRY):
-        _, default_n, description = _REGISTRY[name]
+        default_n, description = _REGISTRY[name][2:]
         print(f"{name:18s} (default n={default_n}) {description}")
     return 0
 

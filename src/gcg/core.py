@@ -1,9 +1,10 @@
 """Core conditional gradient iteration for composite objectives.
 
 The solver minimizes j(u) = f(u) + g(u) over a discrete control space.  f is
-smooth with gradient represented as a field paired against directions through
-quadrature weights; g is convex, possibly infinite outside its feasible set,
-and comes with a linear minimization oracle (LMO)
+smooth with gradient represented as a field paired against directions
+through the field's one quadrature weight, <a, b> = weight * dot(a, b); g
+is convex, possibly infinite outside its feasible set, and comes with a
+linear minimization oracle (LMO)
 
     lmo(grad) = argmin_v  <grad, v> + g(v).
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -69,30 +71,32 @@ def _check_finite(values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Discrete field: nodal values plus positive quadrature weights.
+    """Discrete field: nodal values plus one positive quadrature weight.
 
-    ``mass[i]`` is the weight of node i in every integral-like sum, so the
-    duality pairing of two fields is sum(mass * a * b).  ``meta`` carries an
+    ``weight`` is the weight of every node in each integral-like sum, a
+    Python float, so the duality pairing of two fields is
+    weight * dot(a, b).  Both bundled grids use uniform midpoint weights:
+    h**dim in space and tau * h**dim in space-time.  ``meta`` carries an
     opaque grid descriptor used by grid-aware operations (time slicing,
     file headers); plain vector tests can leave it as None.
     """
 
     values: np.ndarray
-    mass: np.ndarray
+    weight: float
     meta: Any = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        mass = np.asarray(self.mass, dtype=float)
-        if values.ndim != 1 or mass.ndim != 1:
-            raise ValueError("field values and mass must be one-dimensional")
-        if values.shape != mass.shape or values.size == 0:
-            raise ValueError("field values and mass must share a positive length")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("field values must be one-dimensional and nonempty")
         _check_finite(values)
-        if not ((mass > 0.0).all() and np.isfinite(mass).all()):
-            raise ValueError("mass weights must be positive and finite")
+        if not isinstance(self.weight, numbers.Real):  # an array is refused
+            raise ValueError("the weight must be one real number")
+        weight = float(self.weight)  # a Python float, whose repr is plain
+        if not (weight > 0.0 and math.isfinite(weight)):
+            raise ValueError("the weight must be positive and finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def size(self) -> int:
@@ -101,15 +105,15 @@ class ControlField:
     def with_values(self, values: np.ndarray) -> "ControlField":
         """Field on the same nodes; only the new values are checked.
 
-        The mass array is shared with self, which validated it already.
+        The weight is shared with self, which validated it already.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != self.mass.shape:
-            raise ValueError("field values must be one-dimensional and match the mass")
+        if values.shape != self.values.shape:
+            raise ValueError("field values must be one-dimensional and match the nodes")
         _check_finite(values)
         field = object.__new__(ControlField)
         object.__setattr__(field, "values", values)
-        object.__setattr__(field, "mass", self.mass)
+        object.__setattr__(field, "weight", self.weight)
         object.__setattr__(field, "meta", self.meta)
         return field
 
@@ -122,10 +126,10 @@ class ControlField:
 
 
 def pairing(a: ControlField, b: ControlField) -> float:
-    """Mass-weighted duality pairing sum_i mass_i a_i b_i."""
+    """Weighted duality pairing weight * sum_i a_i b_i."""
     if a.size != b.size:
         raise ValueError("fields must have equal length")
-    return float(np.dot(a.mass * a.values, b.values))
+    return a.weight * float(np.dot(a.values, b.values))
 
 
 @dataclass(frozen=True)
@@ -250,13 +254,15 @@ def dual_gap(
 ) -> float:
     """Duality gap <grad, u - v> + g(u) - g(v) for v from the LMO.
 
+    The pairing is grad.weight * dot(grad, u - v).
+
     Mathematically nonnegative.  Values in [-slack, 0) are rounded up to 0;
     anything below -slack means the oracle pair (grad, v) is inconsistent and
     raises OracleError.
     """
     if not (math.isfinite(g_u) and math.isfinite(g_v)):
         raise ValueError("dual_gap requires finite nonsmooth values")
-    raw = float(np.dot(grad.mass * grad.values, u.values - v.values)) + (g_u - g_v)
+    raw = grad.weight * float(np.dot(grad.values, u.values - v.values)) + (g_u - g_v)
     if not math.isfinite(raw):
         raise ValueError("dual_gap produced a non-finite value")
     if raw < -slack:

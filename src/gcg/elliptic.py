@@ -2,10 +2,11 @@
 
 Minimizes  f(u) + g(u)  over controls on the unit square (or interval) with
 
-    f(u) = 0.5 * |K u - target|_2,mass**2,      K = inverse Dirichlet stencil,
-    g(u) = beta * |u|_1,mass + indicator of {lower <= u <= upper},
+    f(u) = 0.5 * |K u - target|_2,w**2,      K = inverse Dirichlet stencil,
+    g(u) = beta * |u|_1,w + indicator of {lower <= u <= upper},
 
-where the target absorbs any fixed source term: target = y_d - K h.  The
+where w = h**2 is the grid's one midpoint weight, so |x|_1,w = w sum |x_i|,
+and the target absorbs any fixed source term: target = y_d - K h.  The
 gradient of f is the adjoint state p = K (K u - target); the LMO thresholds
 p nodewise at +-beta, producing controls supported on {lower, 0, upper}.
 Minimizers inherit that three-valued structure wherever |p| != beta.
@@ -32,7 +33,7 @@ class EllipticProblem(TrackingProblem):
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
     applies it in the stencil's sine basis.  g_eval and dual_norm share
     penalty_norm, pde.l1_norm, of each field through _memo_norm, so one
-    iteration sums m |u| over u and over v once each.
+    iteration sums |u| over u and over v once each.
     """
 
     penalty_norm = staticmethod(l1_norm)
@@ -101,11 +102,17 @@ class EllipticProblem(TrackingProblem):
         return self._memo_norm(u)
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
-        """beta-weighted l1 norm of u + s du; the box holds on [0, 1]."""
-        beta, mass, vals = self.reg_beta, u.mass, u.values
+        """beta-weighted l1 norm of u + s du; the box holds on [0, 1].
+
+        Each probe is beta (w sum |u + s du|), in one buffer, so s = 0
+        gives the floats of g_eval(u).
+        """
+        beta, w, vals = self.reg_beta, u.weight, u.values
 
         def g_val(s: float) -> float:
-            return beta * float(np.dot(mass, np.abs(vals + s * du)))
+            x = s * du
+            x += vals
+            return beta * (w * float(np.abs(x, out=x).sum()))
 
         return g_val
 
@@ -122,18 +129,22 @@ class EllipticProblem(TrackingProblem):
 
     @property
     def growth_quantum(self) -> float:
-        """Mass of one node: the smallest nonzero growth measure."""
-        return float(self.grid.mass_weights()[0])
+        """Weight of one node: the smallest nonzero growth measure."""
+        return self.grid.weight
 
     def growth_measure(self, p: ControlField, eps: float) -> float:
-        """Mass of the near-threshold set { | |p| - beta | <= eps }."""
+        """Measure of the near-threshold set { | |p| - beta | <= eps }:
+        the weight times its node count."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         band = np.abs(np.abs(p.values) - self.reg_beta) <= eps
-        return float(p.mass[band].sum())
+        return float(p.weight * np.count_nonzero(band))
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
-        """Mass fractions describing how bang-bang-off a control is.
+        """Measure fractions describing how bang-bang-off a control is.
+
+        Every node has the same weight, so each fraction is a node count
+        over the node count.
 
         three_value_fraction: nodes within tolerance of {lower, 0, upper}.
         case_match_fraction: nodes consistent with the adjoint-based case
@@ -143,14 +154,13 @@ class EllipticProblem(TrackingProblem):
         """
         tol = 1e-6
         atol = tol * self.bound_scale
-        vals, mass = u.values, u.mass
+        vals, total = u.values, u.size
         lo, up = self.lower.values, self.upper.values
-        total = float(mass.sum())
 
         dist3 = np.minimum(
             np.abs(vals - lo), np.minimum(np.abs(vals), np.abs(vals - up))
         )
-        three = float(mass[dist3 <= atol].sum()) / total
+        three = float(np.count_nonzero(dist3 <= atol)) / total
 
         beta = self.reg_beta
         pv = p.values
@@ -173,7 +183,7 @@ class EllipticProblem(TrackingProblem):
                 ),
             ),
         )
-        case = float(mass[ok].sum()) / total
+        case = float(np.count_nonzero(ok)) / total
         return {"three_value_fraction": three, "case_match_fraction": case}
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
@@ -202,6 +212,13 @@ def _example_fields(name: str, grid: Grid):
     return lower, upper, y_d, source, beta
 
 
+def example_grid(name: str, n: int) -> Grid:
+    """The grid of a bundled instance, Grid(n, 2); it holds no arrays."""
+    if name not in ELLIPTIC_EXAMPLES:
+        raise ValueError(f"unknown elliptic example {name!r}")
+    return Grid(n, 2)
+
+
 def make_example(name: str, n: int) -> EllipticProblem:
     """Build a bundled benchmark instance at resolution n.
 
@@ -210,7 +227,7 @@ def make_example(name: str, n: int) -> EllipticProblem:
     and -5 + 20 x1 beyond, beta = 2e-3, with a fixed source folded into the
     target as target = y_d - K h.
     """
-    grid = Grid(n, 2)
+    grid = example_grid(name, n)
     lower, upper, y_d, source, beta = _example_fields(name, grid)
     target = y_d if source is None else y_d - PoissonSolver(grid).solve(source)
     return EllipticProblem(

@@ -5,7 +5,8 @@ Minimizes  f(u) + g(u)  over space-time controls with
     f(u) = 0.5 * |S u - target|_Q**2,    S = implicit Euler heat solve,
     g(u) = reg_alpha * int_I |u(t)|_2 dt + indicator of {|u(t)|_2 <= M},
 
-where |.|_2 is the spatial mass-weighted norm and |.|_Q the space-time one.
+where |.|_2 is the spatial norm with weight h**dim and |.|_Q the space-time
+one with weight tau h**dim.
 The gradient of f is the adjoint state p = S* (S u - target).  The LMO acts
 slice by slice: v(t) = -M p(t)/|p(t)| when |p(t)| >= reg_alpha, else 0, so
 minimizers concentrate on time slices where the adjoint is loud and satisfy
@@ -27,6 +28,7 @@ from gcg.pde import (
     HeatOperator,
     SpaceTimeGrid,
     heat_c_constant,
+    slice_dots,
     slice_l2_norms,
     slice_sq_norms,
 )
@@ -100,15 +102,13 @@ class ParabolicProblem(TrackingProblem):
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """Group term of u + s du: per slice, the square root of a quadratic
-        in s, whose constant term is u's squared slice norms.  The ball
-        holds on [0, 1] by convexity."""
+        a0 + 2 s a1 + s**2 a2 in s.  a0 is u's squared slice norms, and a1
+        and a2 are h**dim times the per-slice dots (u, du) and (du, du),
+        by pde.slice_dots.  The ball holds on [0, 1] by convexity."""
         grid = self.grid
-        w = grid.space.mass_weights()
-        u_sl = grid.as_slices(u.values)
-        d_sl = grid.as_slices(du)
         a0 = self._memo_norm(u)
-        a1 = (u_sl * d_sl) @ w
-        a2 = (d_sl**2) @ w
+        a1 = slice_dots(grid, u.values, du)
+        a2 = slice_dots(grid, du, du)
         tau, alpha = grid.tau, self.reg_alpha
 
         def g_val(s: float) -> float:
@@ -154,13 +154,22 @@ class ParabolicProblem(TrackingProblem):
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:
         """Random control with per-slice norm uniform in [0, ball radius]."""
         grid = self.grid
-        ns = grid.space.n_nodes
-        w = grid.space.mass_weights()
-        slices = rng.standard_normal((grid.nt, ns))
-        norms = np.sqrt((slices**2) @ w)
+        slices = rng.standard_normal((grid.nt, grid.space.n_nodes))
+        norms = np.sqrt(slice_dots(grid, slices, slices))
         radii = self.ball_radius * rng.uniform(0.0, 1.0, grid.nt)
         scale = np.where(norms > 0, radii / np.where(norms > 0, norms, 1.0), 0.0)
         return grid.field(slices * scale[:, None])
+
+
+# the spatial dimension of each bundled instance
+_SPACE_DIMS = {"parabolic-ex": 2, "parabolic-ex-1d": 1}
+
+
+def example_grid(name: str, nx: int, nt: int) -> SpaceTimeGrid:
+    """The space-time grid of a bundled instance; it holds no arrays."""
+    if name not in _SPACE_DIMS:
+        raise ValueError(f"unknown parabolic example {name!r}")
+    return SpaceTimeGrid(Grid(nx, _SPACE_DIMS[name]), nt, horizon=1.0)
 
 
 def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:
@@ -171,16 +180,13 @@ def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:
     ball radius 0.8.  parabolic-ex-1d: same recipe reduced to the unit
     interval (a convenience variant, not a published configuration).
     """
-    if name == "parabolic-ex":
-        grid = SpaceTimeGrid(Grid(nx, 2), nt, horizon=1.0)
+    grid = example_grid(name, nx, nt)
+    if grid.space.dim == 2:
         x1, x2 = grid.space.coords()
         spatial = np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) * np.exp(2 * x1) / 6.0
-    elif name == "parabolic-ex-1d":
-        grid = SpaceTimeGrid(Grid(nx, 1), nt, horizon=1.0)
+    else:
         (x,) = grid.space.coords()
         spatial = np.sin(2 * np.pi * x) * np.exp(2 * x) / 6.0
-    else:
-        raise ValueError(f"unknown parabolic example {name!r}")
     t = grid.times()
     target = np.outer(np.sin(np.pi * t), spatial)
     return ParabolicProblem(

@@ -4,7 +4,9 @@ Spatial domains are the unit interval or unit square, one Grid(n, dim)
 with dim 1 or 2, with homogeneous Dirichlet boundary values.  Interior
 nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
 3-point (1D) or 5-point (2D) stencil divided by h**2, and integrals use
-composite midpoint weights h (1D) or h**2 (2D).
+the composite midpoint rule: one weight per grid, h**dim in space and
+tau h**dim in space-time, so every weighted sum is that weight times a
+plain sum or dot product.
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
@@ -95,8 +97,10 @@ class Grid:
     def n_nodes(self) -> int:
         return self.n**self.dim
 
-    def mass_weights(self) -> np.ndarray:
-        return np.full(self.n_nodes, self.h**self.dim)
+    @property
+    def weight(self) -> float:
+        """Midpoint quadrature weight of every node, h**dim."""
+        return self.h**self.dim
 
     def coords(self) -> tuple[np.ndarray, ...]:
         axis = self.h * np.arange(1, self.n + 1)
@@ -106,7 +110,7 @@ class Grid:
         return x1.ravel(), x2.ravel()
 
     def field(self, values) -> ControlField:
-        return ControlField(np.asarray(values, dtype=float), self.mass_weights(), self)
+        return ControlField(np.asarray(values, dtype=float), self.weight, self)
 
     def zero_field(self) -> ControlField:
         return self.field(np.zeros(self.n_nodes))
@@ -118,7 +122,7 @@ class SpaceTimeGrid:
 
     Controls and states are stored on the nt right-endpoint time levels
     (implicit Euler evaluation points), flattened slice by slice, with
-    space-time quadrature weight tau * (spatial weight) at every node.
+    space-time quadrature weight tau * h**dim at every node.
     """
 
     space: Grid
@@ -142,15 +146,17 @@ class SpaceTimeGrid:
     def times(self) -> np.ndarray:
         return self.tau * np.arange(1, self.nt + 1)
 
-    def mass_weights(self) -> np.ndarray:
-        return np.tile(self.tau * self.space.mass_weights(), self.nt)
+    @property
+    def weight(self) -> float:
+        """Space-time quadrature weight of every node, tau * h**dim."""
+        return self.tau * self.space.weight
 
     def as_slices(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=float).reshape(self.nt, self.space.n_nodes)
 
     def field(self, values) -> ControlField:
         flat = np.asarray(values, dtype=float).ravel()
-        return ControlField(flat, self.mass_weights(), self)
+        return ControlField(flat, self.weight, self)
 
     def zero_field(self) -> ControlField:
         return self.field(np.zeros(self.n_nodes))
@@ -368,22 +374,31 @@ class HeatOperator:
 
 
 def l1_norm(u: ControlField) -> float:
-    """Mass-weighted l1 norm sum_i mass_i |u_i|."""
-    return float(np.dot(u.mass, np.abs(u.values)))
+    """Weighted l1 norm weight * sum_i |u_i|."""
+    return u.weight * float(np.abs(u.values).sum())
 
 
 def l2_norm(u: ControlField) -> float:
-    """Mass-weighted l2 norm sqrt(sum_i mass_i u_i**2)."""
-    return math.sqrt(float(np.dot(u.mass, u.values**2)))
+    """Weighted l2 norm sqrt(weight * sum_i u_i**2)."""
+    return math.sqrt(u.weight * float(np.dot(u.values, u.values)))
+
+
+def slice_dots(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spatial inner product of every time slice: h**dim * (a_m, b_m).
+
+    One pass over the slices of a and b, with no product array.
+    """
+    prods = np.einsum("ij,ij->i", grid.as_slices(a), grid.as_slices(b))
+    return grid.space.weight * prods
 
 
 def slice_sq_norms(u: ControlField) -> np.ndarray:
-    """Squared spatial l2 norm of every time slice of a space-time field."""
+    """Squared spatial l2 norm of every time slice of a space-time field:
+    h**dim times the slice's dot with itself, by slice_dots."""
     grid = u.meta
     if not isinstance(grid, SpaceTimeGrid):
         raise ValueError("slice norms need a field on a SpaceTimeGrid")
-    slices = grid.as_slices(u.values)
-    return slices**2 @ grid.space.mass_weights()
+    return slice_dots(grid, u.values, u.values)
 
 
 def slice_l2_norms(u: ControlField) -> np.ndarray:
@@ -402,8 +417,8 @@ def group_l1_time(u: ControlField) -> float:
 def laplacian_c_constant(grid: Grid) -> float:
     """Largest l2 response of the inverse stencil over unit-l1 node inputs.
 
-    The value estimate_c_constant scans for, c = max_j |A**-1 e_j|_2,mass /
-    mass_j, in closed form.  The orthonormal DST-I matrix
+    The value estimate_c_constant scans for, c = max_j |A**-1 e_j|_2,w / w
+    with w = h**dim, in closed form.  The orthonormal DST-I matrix
     S = sqrt(2h) sin(pi h j k) diagonalises the 1D stencil, so
     A = (S x S) Lambda (S x S)^T in 2D and
     c**2 = max_j diag(A**-2)_j / h**dim, a column maximum of

@@ -2,14 +2,15 @@
 
 Both instances minimize  f(u) + g(u)  with the same smooth part
 
-    f(u) = 0.5 * |S u - target|**2      (mass-weighted),
+    f(u) = 0.5 * |S u - target|**2 = 0.5 * w * dot(r, r),   r = S u - target,
 
-for a linear control-to-state map S.  Its gradient is the adjoint state
-p = S* (S u - target), and along a segment u + s (v - u) it is the exact
-quadratic f0 + s f1 + s**2 f2 / 2, so one more solve for dy = S (v - u)
-prices every backtracking probe without further PDE work.  The accepted
-point's state is then S u + s dy, so the next gradient needs only the
-adjoint solve: two PDE solves per iteration.
+for a linear control-to-state map S and the grid's one quadrature weight
+w.  Its gradient is the adjoint state p = S* (S u - target), and along a
+segment u + s (v - u) it is the exact quadratic f0 + s f1 + s**2 f2 / 2,
+with f1 = w dot(r, dy) and f2 = w dot(dy, dy), so one more solve for
+dy = S (v - u) prices every backtracking probe without further PDE work.
+The accepted point's state is then S u + s dy, so the next gradient needs
+only the adjoint solve: two PDE solves per iteration.
 
 TrackingProblem implements f, its gradient, the segment objective and the
 solver bundle once.  An instance class mixes it in and supplies:
@@ -42,6 +43,10 @@ _NORM_SLOTS = 2
 
 class TrackingProblem:
     """f(u) = 0.5 |S u - target|**2 with a one-slot memo of the state S u.
+
+    Every sum of the misfit is u's weight times a plain dot product of the
+    residual and the state difference, f = 0.5 w dot(r, r) and the segment
+    coefficients f1 = w dot(r, dy), f2 = w dot(dy, dy).
 
     The memo is keyed on the identity of the ControlField, so a line search
     that follows a gradient evaluation at the same iterate reuses its
@@ -98,7 +103,7 @@ class TrackingProblem:
         """Tracking misfit and its gradient, the adjoint state p."""
         y = self._state_at(u)
         resid = y - self.target.values
-        f_val = 0.5 * float(np.dot(u.mass, resid**2))
+        f_val = 0.5 * u.weight * float(np.dot(resid, resid))
         self._memo = (u, y, f_val)
         return f_val, u.with_values(self.solve_adjoint(resid))
 
@@ -109,21 +114,22 @@ class TrackingProblem:
 
         The misfit is quadratic in s; its coefficients take the state and
         f(u) at u, from the memo after f_and_grad, and one solve for the
-        difference.  f1 and f2 reuse the residual's buffer.  Feasibility
-        holds on [0, 1] by convexity and is not rechecked.
+        difference dy.  Each is the weight times one dot product, with no
+        product array.  Feasibility holds on [0, 1] by convexity and is not
+        rechecked.
         """
         du = v.values - u.values
         self._segment = None  # release the old difference before solving
         y_u = self._state_at(u)
         dy = self.solve_state(du)
         g_along = self.g_along(u, du)
-        mass = u.mass
+        w = u.weight
         resid = y_u - self.target.values
         f0 = self._memo[2]
         if f0 is None:
-            f0 = 0.5 * float(np.dot(mass, resid**2))
-        f1 = float(np.dot(mass, np.multiply(resid, dy, out=resid)))
-        f2 = float(np.dot(mass, np.multiply(dy, dy, out=resid)))
+            f0 = 0.5 * w * float(np.dot(resid, resid))
+        f1 = w * float(np.dot(resid, dy))
+        f2 = w * float(np.dot(dy, dy))
         self._segment = (v, du, dy)
 
         def phi(s: float) -> float:

@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gcg
-from gcg import diagnostics, elliptic, parabolic, pde
+from gcg import cli, diagnostics, elliptic, parabolic, pde
 from gcg.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from gcg.core import SolverConfig, gcg_solve
 
@@ -255,16 +256,96 @@ def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
 
 
 def test_grid_too_large_to_allocate_exits_one(tmp_path, capsys):
-    # the first array of this grid, its 10**18 axis coordinates, needs
-    # 6.9 EiB, more than a 57-bit address space holds, so the allocation
-    # fails at once and no memory is touched
+    # the estimate refuses this grid of 10**36 nodes before any array is
+    # built; were it let through, its first array, the 10**18 axis
+    # coordinates, would need more than a 57-bit address space holds
     out_dir = tmp_path / "out"
     argv = ["run", "--problem", "stadler-ex1", "--n", 10**18, "--out-dir", out_dir]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("gcg: error: Unable to allocate")
+    assert captured.err.startswith(f"gcg: error: a grid of {10**36} nodes needs")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (["--problem", "parabolic-ex-1d", "--n", "3", "--nt", "100000000"], 3 * 10**8),
+        (["--problem", "parabolic-ex", "--n", "100000", "--nt", "100000"], 10**15),
+        (["--problem", "stadler-ex3", "--n", "100000000"], 10**16),
+    ],
+    ids=["space-time-1d", "space-time-2d", "elliptic"],
+)
+def test_grid_over_the_estimate_is_refused_before_any_array(
+    tmp_path, capsys, monkeypatch, argv, nodes
+):
+    # each grid's estimate is far above MAX_RUN_BYTES; a build would raise
+    def build(*args):
+        raise AssertionError("make_example ran")
+
+    monkeypatch.setattr(elliptic, "make_example", build)
+    monkeypatch.setattr(parabolic, "make_example", build)
+    out_dir = tmp_path / "out"
+    assert run_cli(["run", *argv, "--out-dir", out_dir]) == 1
+    err = capsys.readouterr().err
+    need = 8 * cli.RUN_ARRAYS * nodes / 2**30
+    assert err == (
+        f"gcg: error: a grid of {nodes} nodes needs an estimated {need:.3g} GiB, "
+        f"above the limit of {cli.MAX_RUN_BYTES / 2**30:g} GiB\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_estimate_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    # with the limit set to a small grid's estimate, that grid runs and the
+    # next larger one is refused; no array near the real limit is made
+    grid = parabolic.example_grid("parabolic-ex-1d", 8, 12)
+    monkeypatch.setattr(cli, "MAX_RUN_BYTES", 8 * cli.RUN_ARRAYS * grid.n_nodes)
+    assert run_cli(FAST + ["--out-dir", tmp_path / "fits"]) == 0
+    assert run_cli(FAST + ["--nt", "13", "--out-dir", tmp_path / "over"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gcg: error: a grid of {8 * 13} nodes needs an estimated")
+    assert not (tmp_path / "over").exists()
+
+
+def test_memory_error_while_building_exits_one(tmp_path, capsys, monkeypatch):
+    # a grid under the limit that the machine still cannot hold
+    def build(*args):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(elliptic, "make_example", build)
+    out_dir = tmp_path / "out"
+    assert run_cli(ELLIPTIC_FAST + ["--out-dir", out_dir]) == 1
+    err = capsys.readouterr().err
+    assert err == "gcg: error: Unable to allocate 1.00 GiB for an array\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (["stadler-ex1", "--n", "512", "--track-errors"], 512**2),
+        (["parabolic-ex", "--n", "16", "--nt", "1000"], 16**2 * 1000),
+        (["parabolic-ex-1d", "--n", "64", "--nt", "4000"], 64 * 4000),
+    ],
+    ids=["ex1-track", "heat-2d", "heat-1d"],
+)
+def test_run_arrays_covers_the_measured_peak(tmp_path, capsys, argv, nodes):
+    # RUN_ARRAYS is the peak of a whole run under tracemalloc, in float64
+    # arrays of the grid's size, at sizes where one field spans several dump
+    # chunks; the elliptic run with --track-errors sets it
+    argv = ["run", "--problem", *argv, "--max-iter", "3"]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv + ["--out-dir", tmp_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * nodes)
+    assert arrays <= cli.RUN_ARRAYS
+    if "--track-errors" in argv:
+        assert arrays > cli.RUN_ARRAYS - 2
 
 
 def test_failed_residual_check_exits_two(tmp_path, capsys, monkeypatch):

@@ -45,12 +45,18 @@ def scalar_problem(target, lower=-1.0, upper=1.0):
 
 
 def field(*values):
-    vals = np.asarray(values, dtype=float)
-    return ControlField(vals, np.ones_like(vals))
+    return ControlField(np.asarray(values, dtype=float), 1.0)
 
 
 def boxed_l1_problem(rng, n):
-    """Random diagonal quadratic with mass-weighted l1 and box feasibility."""
+    """Random diagonal quadratic with node-weighted l1 and box feasibility.
+
+    The random per-node weights m in [0.5, 2] live in the objective and the
+    penalty, f(u) = 0.5 sum m (u - target)**2 and g(u) = beta sum m |u|,
+    and the fields carry weight 1.0, so the gradient is the field
+    m (u - target): the curvature and the penalty weight differ from node
+    to node.
+    """
     mass = rng.uniform(0.5, 2.0, n)
     target = rng.normal(size=n)
     beta = rng.uniform(0.05, 0.5)
@@ -59,7 +65,7 @@ def boxed_l1_problem(rng, n):
 
     def smooth(u):
         r = u.values - target
-        return 0.5 * float(np.dot(mass * r, r)), ControlField(r, mass)
+        return 0.5 * float(np.dot(mass * r, r)), u.with_values(mass * r)
 
     def nonsmooth(u):
         x = u.values
@@ -68,33 +74,34 @@ def boxed_l1_problem(rng, n):
         return beta * float(np.dot(mass, np.abs(x)))
 
     def lmo(p):
-        pv = p.values
+        # per node, p v + beta m |v| = m (v p / m + beta |v|)
+        pv = p.values / mass
         v = np.where(pv > beta, lower, np.where(pv < -beta, upper, 0.0))
-        return ControlField(v, mass)
+        return p.with_values(v)
 
     def dual_norm(u):
         return float(np.dot(mass, np.abs(u.values)))
 
-    zero = ControlField(np.zeros(n), mass)
+    zero = ControlField(np.zeros(n), 1.0)
     return CompositeProblem(smooth, nonsmooth, lmo, dual_norm), zero
 
 
 def test_pairing_is_mass_weighted():
-    a = ControlField(np.array([1.0, 2.0]), np.array([0.5, 2.0]))
-    b = ControlField(np.array([3.0, -1.0]), np.array([0.5, 2.0]))
-    assert pairing(a, b) == 0.5 * 3.0 - 2.0 * 2.0
+    # the field's one weight times the plain dot product
+    a = ControlField(np.array([1.0, 2.0]), 0.25)
+    b = ControlField(np.array([3.0, -1.0]), 0.25)
+    assert pairing(a, b) == 0.25 * (3.0 - 2.0)
 
 
 def test_derived_fields_share_mass_and_check_values():
-    mass = np.array([0.5, 2.0, 1.5])
-    u = ControlField(np.array([1.0, -2.0, 0.25]), mass, meta="grid")
-    v = ControlField(np.array([0.0, 4.0, -1.0]), mass.copy())
+    u = ControlField(np.array([1.0, -2.0, 0.25]), 0.5, meta="grid")
+    v = ControlField(np.array([0.0, 4.0, -1.0]), 0.5)
     for w, expected in (
         (u.with_values([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0]),
         (u.blend(v, 0.25), u.values + 0.25 * (v.values - u.values)),
         (u.diff(v), u.values - v.values),
     ):
-        assert w.mass is u.mass and w.meta == "grid"
+        assert w.weight is u.weight and w.meta == "grid"
         assert w.values.dtype == float
         np.testing.assert_array_equal(w.values, expected)
     for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):
@@ -102,10 +109,13 @@ def test_derived_fields_share_mass_and_check_values():
             u.with_values(np.array(bad))
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         u.blend(v, 1e308)  # overflows to inf
-    # public construction still checks the mass
-    for bad_mass in ([0.5, 0.0, 1.0], [0.5, np.nan, 1.0], [0.5, 1.0]):
+    # public construction still checks the weight: one positive finite number
+    for bad_weight in (0.0, -0.5, np.nan, np.inf, np.array(0.5), np.full(3, 0.5), "0.5"):
         with pytest.raises(ValueError):
-            ControlField(np.zeros(3), np.array(bad_mass))
+            ControlField(np.zeros(3), bad_weight)
+    # a numpy scalar is taken as the Python float it holds
+    weight = ControlField(np.zeros(3), np.float64(0.5)).weight
+    assert type(weight) is float and repr(weight) == "0.5"
 
 
 def test_dual_gap_identity_case():
@@ -420,9 +430,11 @@ def test_armijo_matches_scan_on_edge_cases():
 @st.composite
 def convex_segment(draw):
     """phi along a segment of positive gap, and the gap, for a smooth convex
-    term plus a mass-weighted |.| term.  The smooth term is a quadratic, where the search starts
-    at the step its curvature guarantees, or sum m k (cosh(w - t) - 1),
-    where that start is only a guess that can overshoot or fail."""
+    term plus a node-weighted |.| term.  The node weights m live in both
+    terms, and the fields carry weight 1.0.  The smooth term is a quadratic,
+    where the search starts at the step its curvature guarantees, or
+    sum m k (cosh(w - t) - 1), where that start is only a guess that can
+    overshoot or fail."""
     n = draw(st.integers(1, 4))
     coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
     mass = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
@@ -434,20 +446,21 @@ def convex_segment(draw):
 
         def smooth(w):
             r = w.values - target
-            return 0.5 * float(np.dot(mass * curv, r * r)), w.with_values(curv * r)
+            value = 0.5 * float(np.dot(mass * curv, r * r))
+            return value, w.with_values(mass * curv * r)
 
     else:
 
         def smooth(w):
             r = w.values - target
             value = float(np.dot(mass * curv, np.cosh(r) - 1.0))
-            return value, w.with_values(curv * np.sinh(r))
+            return value, w.with_values(mass * curv * np.sinh(r))
 
     def nonsmooth(w):
         return beta * float(np.dot(mass, np.abs(w.values)))
 
-    u = ControlField(np.array(draw(coords)), mass)
-    v = ControlField(np.array(draw(coords)), mass)
+    u = ControlField(np.array(draw(coords)), 1.0)
+    v = ControlField(np.array(draw(coords)), 1.0)
     _, grad = smooth(u)
     gap = pairing(grad, u.diff(v)) + nonsmooth(u) - nonsmooth(v)
 
@@ -675,13 +688,15 @@ def test_error_recording_against_reference():
 
 def test_control_field_validation():
     with pytest.raises(ValueError):
-        ControlField(np.array([[1.0]]), np.array([[1.0]]))
+        ControlField(np.array([[1.0]]), 1.0)
     with pytest.raises(ValueError):
-        ControlField(np.array([1.0]), np.array([0.0]))
+        ControlField(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
-        ControlField(np.array([np.nan]), np.array([1.0]))
+        ControlField(np.array([np.nan]), 1.0)
     with pytest.raises(ValueError):
-        ControlField(np.array([1.0, 2.0]), np.array([1.0]))
+        ControlField(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        ControlField(np.array([]), 1.0)
 
 
 def test_blend_endpoints():

@@ -140,12 +140,12 @@ def test_power_convexity_antipodal_value():
     # (|p| + |p|) / (2 |p| * 4) = 1/4
     prob = tiny_problem()
     p = prob.grid.field([2.0, -1.0, 0.5])
-    mass = p.mass
-    p_norm = math.sqrt(float(np.dot(mass, p.values**2)))
+    w = p.weight
+    p_norm = math.sqrt(w * float(np.dot(p.values, p.values)))
     u = p.values / p_norm
     v = -u
-    num = p_norm - float(np.dot(mass, p.values * v))
-    dist_sq = float(np.dot(mass, (u - v) ** 2))
+    num = p_norm - w * float(np.dot(p.values, v))
+    dist_sq = w * float(np.dot(u - v, u - v))
     assert num / (2.0 * p_norm * dist_sq) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -162,8 +162,8 @@ def power_convexity_check(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    mass = p.mass
-    p_norm = math.sqrt(float(np.dot(mass, p.values**2)))
+    w = p.weight
+    p_norm = math.sqrt(w * float(np.dot(p.values, p.values)))
     if p_norm == 0.0:
         raise ValueError("the check needs a nonzero reference vector")
     u = p.values / p_norm
@@ -171,14 +171,14 @@ def power_convexity_check(
     best = math.inf
     for _ in range(trials):
         g = rng.standard_normal(p.size)
-        g_norm = math.sqrt(float(np.dot(mass, g**2)))
+        g_norm = math.sqrt(w * float(np.dot(g, g)))
         if g_norm == 0.0:
             continue
         v = (rng.uniform() / g_norm) * g
-        dist_sq = float(np.dot(mass, (u - v) ** 2))
+        dist_sq = w * float(np.dot(u - v, u - v))
         if dist_sq <= 1e-16:
             continue
-        num = p_norm - float(np.dot(mass, p.values * v))
+        num = p_norm - w * float(np.dot(p.values, v))
         best = min(best, num / (2.0 * p_norm * dist_sq))
     return best
 
@@ -207,7 +207,7 @@ def test_solution_slice_structure():
     _, p = prob.f_and_grad(u)
     sl_u = prob.grid.as_slices(u.values)
     sl_p = prob.grid.as_slices(p.values)
-    w = prob.grid.space.mass_weights()
+    w = prob.grid.space.weight
     u_norms = slice_l2_norms(u)
     p_norms = slice_l2_norms(p)
     alpha, m_ball = prob.reg_alpha, prob.ball_radius
@@ -217,7 +217,7 @@ def test_solution_slice_structure():
     assert float(u_norms[quiet].max()) <= 1e-6
     for m in np.flatnonzero(loud):
         ideal = -m_ball * sl_p[m] / p_norms[m]
-        err = math.sqrt(float(((sl_u[m] - ideal) ** 2) @ w))
+        err = math.sqrt(w * float(np.dot(sl_u[m] - ideal, sl_u[m] - ideal)))
         assert err <= 5e-3 * m_ball
 
 
@@ -298,9 +298,10 @@ def test_problem_validation():
 
 def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     # g_eval, dual_norm and g_along share one pass over each field's slices,
-    # with the floats of the formulas on slice_l2_norms
+    # with the floats of the formulas on slice_l2_norms; a0, a1 and a2 are
+    # h**dim times the per-slice dots
     prob = make_example("parabolic-ex", 6, 9)
-    grid, w = prob.grid, prob.grid.space.mass_weights()
+    grid, w = prob.grid, prob.grid.space.weight
     rng = np.random.default_rng(29)
     u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
     du = v.values - u.values
@@ -325,7 +326,10 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
         group_l1_time(v),
     )
     u_sl, d_sl = grid.as_slices(u.values), grid.as_slices(du)
-    a0, a1, a2 = (u_sl**2) @ w, (u_sl * d_sl) @ w, (d_sl**2) @ w
+    a0, a1, a2 = (
+        w * np.einsum("ij,ij->i", x, y)
+        for x, y in ((u_sl, u_sl), (u_sl, d_sl), (d_sl, d_sl))
+    )
     for s in (0.0, 0.3, 0.99**5, 1.0):
         sq = np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0)
         assert g_along(s) == prob.reg_alpha * grid.tau * float(np.sqrt(sq).sum())

@@ -44,23 +44,29 @@ from gcg.pde import (
 
 
 def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
-    """Solve op @ y = rhs nodewise; mass weights and grid tag carry over."""
+    """Solve op @ y = rhs nodewise; the weight and grid tag carry over."""
     if rhs.size != op.size:
         raise ValueError("rhs length does not match the operator")
     return rhs.with_values(op.solve(rhs.values))
+
+
+def node_weights(grid) -> np.ndarray:
+    """The grid's weight at every node, the array estimate_c_constant takes."""
+    return np.full(grid.n_nodes, grid.weight)
 
 
 def test_grid_basics():
     g1 = Grid(3, 1)
     assert g1.h == 0.25
     assert g1.n_nodes == 3
-    np.testing.assert_allclose(g1.mass_weights(), [0.25, 0.25, 0.25])
+    assert g1.weight == 0.25 and type(g1.weight) is float
+    assert g1.field(np.zeros(3)).weight == 0.25
     np.testing.assert_allclose(g1.coords()[0], [0.25, 0.5, 0.75])
 
     g2 = Grid(2, 2)
     assert g2.h == pytest.approx(1.0 / 3.0)
     assert g2.n_nodes == 4
-    np.testing.assert_allclose(g2.mass_weights(), np.full(4, 1.0 / 9.0))
+    assert g2.weight == g2.h**2 == pytest.approx(1.0 / 9.0)
     x1, x2 = g2.coords()
     # x1 varies fastest in the flattening
     np.testing.assert_allclose(x1, [1 / 3, 2 / 3, 1 / 3, 2 / 3])
@@ -70,7 +76,8 @@ def test_grid_basics():
     assert st.tau == 0.5
     assert st.n_nodes == 6
     np.testing.assert_allclose(st.times(), [0.5, 1.0, 1.5])
-    np.testing.assert_allclose(st.mass_weights(), np.full(6, 0.5 / 3.0))
+    assert st.weight == 0.5 * (1.0 / 3.0) and type(st.weight) is float
+    assert st.zero_field().weight == st.weight
     np.testing.assert_allclose(
         st.as_slices(np.arange(6.0)), [[0, 1], [2, 3], [4, 5]]
     )
@@ -447,14 +454,14 @@ def test_estimate_c_constant_single_node():
     # inverse of [[16]] paired with mass 1/4: sqrt(1/4)*(1/16)/(1/4) = 1/8
     grid = Grid(1, 2)
     op = assemble_laplacian(grid)
-    c = estimate_c_constant(op, grid.mass_weights())
+    c = estimate_c_constant(op, node_weights(grid))
     assert c == pytest.approx(0.125, rel=1e-14)
 
 
 def test_estimate_c_constant_matches_dense_scan():
     grid = Grid(6, 1)
     op = assemble_laplacian(grid)
-    mass = grid.mass_weights()
+    mass = node_weights(grid)
     inv = np.linalg.inv(op.matrix.toarray())
     best = max(
         math.sqrt(float(mass @ inv[:, j] ** 2)) / mass[j] for j in range(6)
@@ -469,8 +476,7 @@ def test_estimate_c_constant_matches_dense_scan():
 def test_estimate_c_constant_bounds_random_inputs():
     grid = Grid(8, 1)
     op = assemble_laplacian(grid)
-    mass = grid.mass_weights()
-    c = estimate_c_constant(op, mass)
+    c = estimate_c_constant(op, node_weights(grid))
     rng = np.random.default_rng(9)
     for trial in range(20):
         u = grid.field(rng.standard_normal(8))
@@ -483,7 +489,7 @@ def test_estimate_c_constant_bounds_random_inputs():
 )
 def test_laplacian_c_constant_matches_scan(dim, n):
     grid = Grid(n, dim)
-    scan = estimate_c_constant(assemble_laplacian(grid), grid.mass_weights())
+    scan = estimate_c_constant(assemble_laplacian(grid), node_weights(grid))
     closed = laplacian_c_constant(grid)
     assert closed**2 == pytest.approx(scan**2, rel=1e-13)
 
@@ -502,7 +508,7 @@ def test_field_round_trip(tmp_path):
         write_field(path, u)
         back = read_field(path)
         np.testing.assert_array_equal(back.values, u.values)
-        np.testing.assert_array_equal(back.mass, u.mass)
+        assert back.weight == u.weight
         assert back.meta == grid
     st = read_field(tmp_path / "field_2.txt").meta
     assert st.nt == 4
@@ -712,5 +718,5 @@ class ControlFieldNoMeta:
     """Minimal stand-in with no grid descriptor."""
 
     values = np.zeros(1)
-    mass = np.ones(1)
+    weight = 1.0
     meta = None

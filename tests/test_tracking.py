@@ -263,7 +263,7 @@ def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
         gap = dual_gap(u, grad, g_u, v, prob.g_eval(v), slack=1e-12 * (abs(j_u) + 1.0))
         j_v = prob.line_objective(u, v)(1.0)
         dy = prob._segment[2]
-        norm_sq = float(np.dot(u.mass, dy * dy))
+        norm_sq = u.weight * float(np.dot(dy, dy))
         assert norm_sq > 0.0
         c = 2.0 * (j_v - j_u + gap)
         assert abs(c - norm_sq) <= 16 * eps * (abs(j_u) + abs(j_v) + gap)
