@@ -11,9 +11,10 @@ OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte for byte.
 Exit codes: 0 on a completed solve, 1 on usage errors, 2 on numerical
 failures, 3 on I/O failures.
 
-A run whose estimated peak, 8 bytes x RUN_ARRAYS x the nodes of its grid
-(times nt in space-time), exceeds MAX_RUN_BYTES is refused as a usage
-error before any array is built.
+A run whose estimated peak, 8 bytes x its instance module's RUN_ARRAYS x
+the nodes of its grid (times nt in space-time), exceeds MAX_RUN_BYTES is
+refused as a usage error before any array is built, and so is a grid
+whose control.txt header would be ambiguous.
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ from .core import (
 )
 from .pde import ResidualCheckError, field_header, write_field
 
-
-# Full-size float64 arrays that a run keeps live at its peak, measured with
-# tracemalloc and pinned by tests/test_cli.py: stadler-ex1 at n = 512 peaks
-# at 20.1 of them with --track-errors and 19.0 without, parabolic-ex at 9.2
-# once its field spans a few dump chunks.  The control dump's buffers, at most
-# about 13 MB for its chunk of 2**16 values, are left out.
-RUN_ARRAYS = 21
 
 # The largest estimated peak, in bytes, of a run that gcg starts.
 MAX_RUN_BYTES = 4 * 2**30
@@ -232,13 +226,13 @@ def _report_text(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def check_fits(grid) -> None:
+def check_fits(module, grid) -> None:
     """Refuse with ValueError a grid whose run would peak above MAX_RUN_BYTES.
 
-    The estimate is 8 bytes x RUN_ARRAYS x grid.n_nodes, from the grid
-    alone, which holds no arrays.
+    The estimate is 8 bytes x module.RUN_ARRAYS x grid.n_nodes, from the
+    instance module's count and the grid alone, which holds no arrays.
     """
-    need = 8 * RUN_ARRAYS * grid.n_nodes
+    need = 8 * module.RUN_ARRAYS * grid.n_nodes
     if need > MAX_RUN_BYTES:
         raise ValueError(
             f"a grid of {grid.n_nodes} nodes needs an estimated "
@@ -255,10 +249,11 @@ def run(config: RunConfig) -> int:
         )
         module, build_args = _REGISTRY[config.problem][:2]
         args = build_args(config)
-        check_fits(module.example_grid(*args))
+        grid = module.example_grid(*args)
+        check_fits(module, grid)
+        field_header(grid)  # refuse a grid control.txt cannot describe
         prob = module.make_example(*args)
         u0 = prob.zero_control()
-        field_header(u0.meta)  # refuse a grid control.txt cannot describe
     except (ValueError, MemoryError) as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return 1

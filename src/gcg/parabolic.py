@@ -34,6 +34,13 @@ from gcg.pde import (
 )
 from gcg.tracking import TrackingProblem
 
+# Full-size float64 arrays that a run keeps live at its peak, measured with
+# tracemalloc and pinned by tests/test_cli.py: parabolic-ex at 32 x 32 x 500
+# and parabolic-ex-1d at 128 x 4000 peak at 10.1 and 10.2 of them with
+# --track-errors and 9.2 without.  The control dump's buffers, at most about
+# 13 MB for its chunk of 2**16 values, are left out.
+RUN_ARRAYS = 11
+
 
 @dataclass(eq=False)
 class ParabolicProblem(TrackingProblem):
@@ -97,14 +104,16 @@ class ParabolicProblem(TrackingProblem):
         return p.with_values((slices * scale[:, None]).ravel())
 
     def dual_norm(self, u: ControlField) -> float:
-        """Time integral of the slice norms, as pde.group_l1_time."""
+        """Time integral of the slice norms, tau times their sum."""
         return float(self.grid.tau * self._slice_norms(u).sum())
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """Group term of u + s du: per slice, the square root of a quadratic
         a0 + 2 s a1 + s**2 a2 in s.  a0 is u's squared slice norms, and a1
         and a2 are h**dim times the per-slice dots (u, du) and (du, du),
-        by pde.slice_dots.  The ball holds on [0, 1] by convexity."""
+        by pde.slice_dots.  The sum is associated as in g_eval, so s = 0
+        gives the floats of g_eval(u).  The ball holds on [0, 1] by
+        convexity."""
         grid = self.grid
         a0 = self._memo_norm(u)
         a1 = slice_dots(grid, u.values, du)
@@ -113,7 +122,7 @@ class ParabolicProblem(TrackingProblem):
 
         def g_val(s: float) -> float:
             sq = np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0)
-            return alpha * tau * float(np.sqrt(sq).sum())
+            return alpha * float(tau * np.sqrt(sq).sum())
 
         return g_val
 

@@ -6,7 +6,8 @@ nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
 3-point (1D) or 5-point (2D) stencil divided by h**2, and integrals use
 the composite midpoint rule: one weight per grid, h**dim in space and
 tau h**dim in space-time, so every weighted sum is that weight times a
-plain sum or dot product.
+plain sum or dot product.  The norms here are the ones the penalties use:
+l1_norm and the per-slice slice_dots, slice_sq_norms and slice_l2_norms.
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
@@ -378,11 +379,6 @@ def l1_norm(u: ControlField) -> float:
     return u.weight * float(np.abs(u.values).sum())
 
 
-def l2_norm(u: ControlField) -> float:
-    """Weighted l2 norm sqrt(weight * sum_i u_i**2)."""
-    return math.sqrt(u.weight * float(np.dot(u.values, u.values)))
-
-
 def slice_dots(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Spatial inner product of every time slice: h**dim * (a_m, b_m).
 
@@ -404,14 +400,6 @@ def slice_sq_norms(u: ControlField) -> np.ndarray:
 def slice_l2_norms(u: ControlField) -> np.ndarray:
     """Spatial l2 norm of every time slice of a space-time field."""
     return np.sqrt(slice_sq_norms(u))
-
-
-def group_l1_time(u: ControlField) -> float:
-    """Time integral of the spatial l2 norm: sum_m tau * |u(t_m)|_2."""
-    grid = u.meta
-    if not isinstance(grid, SpaceTimeGrid):
-        raise ValueError("group norm needs a field on a SpaceTimeGrid")
-    return float(grid.tau * slice_l2_norms(u).sum())
 
 
 def laplacian_c_constant(grid: Grid) -> float:

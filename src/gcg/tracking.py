@@ -9,8 +9,11 @@ w.  Its gradient is the adjoint state p = S* (S u - target), and along a
 segment u + s (v - u) it is the exact quadratic f0 + s f1 + s**2 f2 / 2,
 with f1 = w dot(r, dy) and f2 = w dot(dy, dy), so one more solve for
 dy = S (v - u) prices every backtracking probe without further PDE work.
+f0 is f(u) by the same expression, from the same residual, so phi(0) is
+f(u) + g(u) bit for bit wherever g_along(u, du)(0) is g_eval(u).
 The accepted point's state is then S u + s dy, so the next gradient needs
-only the adjoint solve: two PDE solves per iteration.
+only the adjoint solve: two PDE solves per iteration.  One memo record
+holds u, S u and the last segment priced from u.
 
 TrackingProblem implements f, its gradient, the segment objective and the
 solver bundle once.  An instance class mixes it in and supplies:
@@ -42,34 +45,34 @@ _NORM_SLOTS = 2
 
 
 class TrackingProblem:
-    """f(u) = 0.5 |S u - target|**2 with a one-slot memo of the state S u.
+    """f(u) = 0.5 |S u - target|**2 with one memo record of the state S u.
 
     Every sum of the misfit is u's weight times a plain dot product of the
     residual and the state difference, f = 0.5 w dot(r, r) and the segment
     coefficients f1 = w dot(r, dy), f2 = w dot(dy, dy).
 
-    The memo is keyed on the identity of the ControlField, so a line search
-    that follows a gradient evaluation at the same iterate reuses its
-    state, with the same floats.  It also keeps the f(u) that f_and_grad
-    computed, which line_objective takes as its f0.  line_objective keeps
-    v, v - u and S (v - u) until the memo leaves u; step builds the
-    accepted point from that difference and seeds the memo with the state
-    S u + s S (v - u), so the state is solved afresh only for a field no
-    step made.  Carried states drift from a fresh solve by rounding;
-    gcg_solve evaluates at a new field before it stops.  The memo assumes
-    that no field's values are changed in place; the solver makes every
-    iterate a new ControlField.  _memo_norm keeps a second memo, of
-    penalty_norm of the last _NORM_SLOTS fields, also keyed by identity;
-    it holds its fields weakly and keeps no values alive.
+    The record is (u, S u, segment), keyed on the identity of the
+    ControlField u, so a line search that follows a gradient evaluation at
+    the same iterate reuses its state, with the same floats.  segment is
+    (v, v - u, S (v - u)) of the last segment line_objective priced from u,
+    or None.  A new record replaces the old one whole, and only that
+    releases a segment.  step builds the accepted point from the kept
+    difference and records it with the state S u + s S (v - u), so the
+    state is solved afresh only for a field no step made.  Carried states
+    drift from a fresh solve by rounding; gcg_solve evaluates at a new
+    field before it stops.  The record assumes that no field's values are
+    changed in place; the solver makes every iterate a new ControlField.
+    _memo_norm keeps a second memo, of penalty_norm of the last _NORM_SLOTS
+    fields, also keyed by identity; it holds its fields weakly and keeps
+    no values alive.
 
     The segment's curvature |S (v - u)|**2 needs no field: armijo_step
     recovers it from phi(1) and starts where it guarantees a pass.
     """
 
-    # (u, S u, f(u) or None until f_and_grad computes it)
-    _memo: Optional[tuple[ControlField, np.ndarray, Optional[float]]] = None
-    # (v, v - u, S (v - u)) of the last segment priced from the memo's u
-    _segment: Optional[tuple[ControlField, np.ndarray, np.ndarray]] = None
+    # (u, S u, segment), segment = (v, v - u, S (v - u)) of the last segment
+    # priced from u, or None
+    _memo: Optional[tuple[ControlField, np.ndarray, Optional[tuple]]] = None
 
     # ((weak reference to a field, its norm), ...), newest first
     _norm_memo = ()
@@ -91,7 +94,6 @@ class TrackingProblem:
     def _state_at(self, u: ControlField) -> np.ndarray:
         if self._memo is not None and self._memo[0] is u:
             return self._memo[1]
-        self._memo = self._segment = None  # the segment goes with its u
         y = self.solve_state(u.values)
         self._memo = (u, y, None)
         return y
@@ -101,10 +103,8 @@ class TrackingProblem:
 
     def f_and_grad(self, u: ControlField) -> tuple[float, ControlField]:
         """Tracking misfit and its gradient, the adjoint state p."""
-        y = self._state_at(u)
-        resid = y - self.target.values
+        resid = self._state_at(u) - self.target.values
         f_val = 0.5 * u.weight * float(np.dot(resid, resid))
-        self._memo = (u, y, f_val)
         return f_val, u.with_values(self.solve_adjoint(resid))
 
     def line_objective(
@@ -112,25 +112,23 @@ class TrackingProblem:
     ) -> Callable[[float], float]:
         """Exact objective along the segment u + s (v - u).
 
-        The misfit is quadratic in s; its coefficients take the state and
-        f(u) at u, from the memo after f_and_grad, and one solve for the
-        difference dy.  Each is the weight times one dot product, with no
-        product array.  Feasibility holds on [0, 1] by convexity and is not
+        The misfit is quadratic in s; its coefficients take the state at u,
+        from the record after f_and_grad, and one solve for the difference
+        dy.  Each is the weight times one dot product, with no product
+        array, and f0 is f_and_grad's own expression, so phi(0) is j(u) bit
+        for bit.  Feasibility holds on [0, 1] by convexity and is not
         rechecked.
         """
         du = v.values - u.values
-        self._segment = None  # release the old difference before solving
         y_u = self._state_at(u)
         dy = self.solve_state(du)
         g_along = self.g_along(u, du)
         w = u.weight
         resid = y_u - self.target.values
-        f0 = self._memo[2]
-        if f0 is None:
-            f0 = 0.5 * w * float(np.dot(resid, resid))
+        f0 = 0.5 * w * float(np.dot(resid, resid))
         f1 = w * float(np.dot(resid, dy))
         f2 = w * float(np.dot(dy, dy))
-        self._segment = (v, du, dy)
+        self._memo = (u, y_u, (v, du, dy))
 
         def phi(s: float) -> float:
             return f0 + s * f1 + 0.5 * s * s * f2 + g_along(s)
@@ -140,17 +138,16 @@ class TrackingProblem:
     def step(self, u: ControlField, v: ControlField, s: float) -> ControlField:
         """The point u + s (v - u), with its state when the segment was priced.
 
-        When the memo still holds u and v is the v of the last segment, by
-        identity, the point is s du + u from the kept du = v - u, the floats
-        of u.blend(v, s), and the memo takes the state S u + s S (v - u);
-        the segment is then released.  Otherwise, also after a solve raised
-        and released the memo and the segment, the point is a plain blend.
+        When the record holds u and, by identity, the v of its segment, the
+        point is s du + u from the kept du = v - u, the floats of
+        u.blend(v, s), and the new record holds the point with the state
+        S u + s S (v - u).  Otherwise the point is a plain blend and the
+        record stays.
         """
-        segment, self._segment = self._segment, None
-        if segment is None or segment[0] is not v or self._memo[0] is not u:
+        u_memo, y_u, segment = self._memo or (None, None, None)
+        if u_memo is not u or segment is None or segment[0] is not v:
             return u.blend(v, s)
         _, du, dy = segment
-        y_u = self._memo[1]
         values = s * du
         values += u.values
         w = u.with_values(values)

@@ -245,8 +245,14 @@ def test_bad_solver_settings_exit_one(tmp_path, capsys, key, value):
     ],
     ids=["stadler-ex1", "parabolic-ex"],
 )
-def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, argv):
-    # control.txt could not describe a 2D grid with one node per direction
+def test_single_node_2d_grid_refused_before_solve(tmp_path, capsys, monkeypatch, argv):
+    # control.txt could not describe a 2D grid with one node per direction;
+    # the array-free grid shows it before the instance is built
+    def build(*args):
+        raise AssertionError("make_example ran")
+
+    monkeypatch.setattr(elliptic, "make_example", build)
+    monkeypatch.setattr(parabolic, "make_example", build)
     out_dir = tmp_path / "out"
     assert run_cli(["run", *argv, "--out-dir", out_dir]) == 1
     captured = capsys.readouterr()
@@ -289,7 +295,8 @@ def test_grid_over_the_estimate_is_refused_before_any_array(
     out_dir = tmp_path / "out"
     assert run_cli(["run", *argv, "--out-dir", out_dir]) == 1
     err = capsys.readouterr().err
-    need = 8 * cli.RUN_ARRAYS * nodes / 2**30
+    module = parabolic if argv[1].startswith("parabolic") else elliptic
+    need = 8 * module.RUN_ARRAYS * nodes / 2**30
     assert err == (
         f"gcg: error: a grid of {nodes} nodes needs an estimated {need:.3g} GiB, "
         f"above the limit of {cli.MAX_RUN_BYTES / 2**30:g} GiB\n"
@@ -301,12 +308,27 @@ def test_estimate_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     # with the limit set to a small grid's estimate, that grid runs and the
     # next larger one is refused; no array near the real limit is made
     grid = parabolic.example_grid("parabolic-ex-1d", 8, 12)
-    monkeypatch.setattr(cli, "MAX_RUN_BYTES", 8 * cli.RUN_ARRAYS * grid.n_nodes)
+    monkeypatch.setattr(cli, "MAX_RUN_BYTES", 8 * parabolic.RUN_ARRAYS * grid.n_nodes)
     assert run_cli(FAST + ["--out-dir", tmp_path / "fits"]) == 0
     assert run_cli(FAST + ["--nt", "13", "--out-dir", tmp_path / "over"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"gcg: error: a grid of {8 * 13} nodes needs an estimated")
     assert not (tmp_path / "over").exists()
+
+
+def test_each_instance_is_estimated_by_its_own_count(tmp_path, capsys, monkeypatch):
+    # at the limit of a parabolic grid's own estimate, that grid runs, while
+    # an elliptic grid of as many nodes, which peaks at about twice the
+    # arrays, is refused
+    nodes = 8 * 8
+    monkeypatch.setattr(cli, "MAX_RUN_BYTES", 8 * parabolic.RUN_ARRAYS * nodes)
+    assert parabolic.RUN_ARRAYS < elliptic.RUN_ARRAYS
+    argv = ["run", "--problem", "parabolic-ex-1d", "--n", 8, "--nt", 8, "--max-iter", 5]
+    assert run_cli(argv + ["--out-dir", tmp_path / "heat"]) == 0
+    assert run_cli(ELLIPTIC_FAST + ["--out-dir", tmp_path / "ex1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gcg: error: a grid of {nodes} nodes needs an estimated")
+    assert not (tmp_path / "ex1").exists()
 
 
 def test_memory_error_while_building_exits_one(tmp_path, capsys, monkeypatch):
@@ -326,15 +348,16 @@ def test_memory_error_while_building_exits_one(tmp_path, capsys, monkeypatch):
     "argv, nodes",
     [
         (["stadler-ex1", "--n", "512", "--track-errors"], 512**2),
-        (["parabolic-ex", "--n", "16", "--nt", "1000"], 16**2 * 1000),
-        (["parabolic-ex-1d", "--n", "64", "--nt", "4000"], 64 * 4000),
+        (["parabolic-ex", "--n", "32", "--nt", "500", "--track-errors"], 32**2 * 500),
+        (["parabolic-ex-1d", "--n", "128", "--nt", "4000"], 128 * 4000),
     ],
     ids=["ex1-track", "heat-2d", "heat-1d"],
 )
 def test_run_arrays_covers_the_measured_peak(tmp_path, capsys, argv, nodes):
-    # RUN_ARRAYS is the peak of a whole run under tracemalloc, in float64
-    # arrays of the grid's size, at sizes where one field spans several dump
-    # chunks; the elliptic run with --track-errors sets it
+    # each instance module's RUN_ARRAYS is the peak of a whole run under
+    # tracemalloc, in float64 arrays of the grid's size, at sizes where one
+    # field spans several dump chunks; the runs with --track-errors set it
+    module = parabolic if argv[0].startswith("parabolic") else elliptic
     argv = ["run", "--problem", *argv, "--max-iter", "3"]
     tracemalloc.start()
     try:
@@ -343,9 +366,9 @@ def test_run_arrays_covers_the_measured_peak(tmp_path, capsys, argv, nodes):
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * nodes)
-    assert arrays <= cli.RUN_ARRAYS
+    assert arrays <= module.RUN_ARRAYS
     if "--track-errors" in argv:
-        assert arrays > cli.RUN_ARRAYS - 2
+        assert arrays > module.RUN_ARRAYS - 2
 
 
 def test_failed_residual_check_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
-"""Tests for the shared tracking term: the one-slot state memo and the
-state carried from the line search into the next iterate."""
+"""Tests for the shared tracking term: the one memo record of the state and
+the last segment, and the state carried from the line search into the next
+iterate."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 
@@ -170,6 +172,8 @@ def test_step_carries_the_state_of_the_priced_segment_only(kind):
     calls = count_solves(prob)
 
     # a pair line_objective did not price: a plain blend, solved afresh
+    z = prob.step(w, v, s)
+    assert np.array_equal(z.values, w.blend(v, s).values)
     x = prob.step(u, w, s)
     assert np.array_equal(x.values, u.blend(w, s).values)
     f_x, p_x = prob.f_and_grad(x)
@@ -206,46 +210,62 @@ def test_step_carries_the_state_of_the_priced_segment_only(kind):
         prob.f_and_grad(z)
         assert len(calls) == 1
 
-    # a solve that raised left no memo: a plain blend too
+    # a solve that raised left the record as it was: the priced pair still
+    # carries its state, with no solve
     def failing(values):
         raise ResidualCheckError("the state solve failed its check")
 
     prob.line_objective(u, v)
+    record = prob._memo
     solve, prob.solve_state = prob.solve_state, failing
     with pytest.raises(ResidualCheckError):
         prob.f_and_grad(x)
     prob.solve_state = solve
-    assert prob._memo is None
+    assert prob._memo is record
     calls.clear()
     z = prob.step(u, v, s)
     assert np.array_equal(z.values, u.blend(v, s).values)
     prob.f_and_grad(z)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_reused_values_are_the_fresh_floats(kind):
-    # f0 from the memo, the step from the kept difference and the carried
-    # state give, bit for bit, what computing each afresh gives
+    # f0 from the recorded state, the step from the kept difference and the
+    # carried state give, bit for bit, what computing each afresh gives
     prob, fresh = BUILDERS[kind](), BUILDERS[kind]()
     rng = np.random.default_rng(101)
     u = prob.sample_feasible(rng)
-    _, grad = prob.f_and_grad(u)
+    f_u, grad = prob.f_and_grad(u)
     v = prob.lmo(grad)
     y_u = fresh.solve_state(u.values)
     dy = fresh.solve_state(v.values - u.values)
+    f_fresh, _ = BUILDERS[kind]().f_and_grad(u)
     for s in STEPS:
         calls = count_solves(prob)
-        phi = prob.line_objective(u, v)  # a memo hit: f(u) is not recomputed
+        phi = prob.line_objective(u, v)  # a memo hit: only S (v - u) is solved
         assert len(calls) == 1
+        assert inspect.getclosurevars(phi).nonlocals["f0"] == f_u == f_fresh
         expected = BUILDERS[kind]().line_objective(u, v)
         assert [phi(t) for t in STEPS] == [expected(t) for t in STEPS]
         w = prob.step(u, v, s)
         assert w.values.tobytes() == u.blend(v, s).values.tobytes()
-        state, f_w = prob._memo[1:]
-        assert prob._memo[0] is w and f_w is None
+        w_memo, state, segment = prob._memo
+        assert w_memo is w and segment is None
         assert state.tobytes() == (y_u + s * dy).tobytes()
         prob.f_and_grad(u)  # the memo back at u for the next step
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_phi_at_zero_is_j_of_u_bit_for_bit(kind):
+    # the search weighs phi(0) = j(u) against phi(gamma**n); phi(0) takes f0
+    # and g_along(0) by the formulas of f_and_grad and g_eval
+    prob = BUILDERS[kind]()
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+        f_u, _ = prob.f_and_grad(u)
+        assert prob.line_objective(u, v)(0.0) == f_u + prob.g_eval(u)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -262,7 +282,7 @@ def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
         j_u = f_u + g_u
         gap = dual_gap(u, grad, g_u, v, prob.g_eval(v), slack=1e-12 * (abs(j_u) + 1.0))
         j_v = prob.line_objective(u, v)(1.0)
-        dy = prob._segment[2]
+        dy = prob._memo[2][2]
         norm_sq = u.weight * float(np.dot(dy, dy))
         assert norm_sq > 0.0
         c = 2.0 * (j_v - j_u + gap)

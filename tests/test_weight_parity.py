@@ -65,7 +65,7 @@ def build_segment(prob):
     resid = prob._memo[1] - prob.target.values
     v = prob.lmo(grad)
     phi = prob.line_objective(u, v)
-    dy = prob._segment[2]
+    dy = prob._memo[2][2]
     return prob, u, f_u, grad, resid, v, phi, dy
 
 
