@@ -2,7 +2,9 @@
 
 Two subcommands: ``run`` solves a registered problem instance and writes
 the iteration history (CSV), the final control (text field dump), and a
-diagnostics report; ``list`` prints the problem registry.  All output is
+diagnostics report; ``list`` prints the problem registry, which maps each
+name to its instance module; ``run`` passes the sizes that module states
+(SIZES), so ``--nt`` is unused on an elliptic problem.  All output is
 deterministic at a fixed BLAS thread count: rerunning the same
 configuration reproduces byte-identical files.  The sine-basis products
 sum in a thread-dependent order, so pin the count, for example with
@@ -29,7 +31,6 @@ from . import diagnostics as diag
 from . import elliptic, parabolic
 from .core import (
     ArmijoParams,
-    LineSearchError,
     OracleError,
     SolverConfig,
     SolveStatus,
@@ -42,25 +43,10 @@ from .pde import ResidualCheckError, field_header, write_field
 MAX_RUN_BYTES = 4 * 2**30
 
 
-def _elliptic_args(config: RunConfig) -> tuple:
-    return config.problem, config.n
-
-
-def _parabolic_args(config: RunConfig) -> tuple:
-    return config.problem, config.n, config.nt
-
-
-# name -> (instance module, the arguments of its example_grid and make_example,
-# default n, description); make_example is looked up in the module at call time
+# name -> instance module, which states EXAMPLES (name -> description) and
+# SIZES; make_example is looked up in the module at call time
 _REGISTRY = {
-    **{
-        name: (elliptic, _elliptic_args, 64, text)
-        for name, text in elliptic.ELLIPTIC_EXAMPLES.items()
-    },
-    **{
-        name: (parabolic, _parabolic_args, 32, text)
-        for name, text in parabolic.PARABOLIC_EXAMPLES.items()
-    },
+    name: module for module in (elliptic, parabolic) for name in module.EXAMPLES
 }
 
 
@@ -74,12 +60,13 @@ class RunConfig:
 
     The fields are the settings-file keys, with ``tol`` in the file for
     ``gap_tol``.  A setting that neither the file nor a flag gives takes
-    the default here; ``n = None`` takes the problem's grid size.
+    the default here, and a size setting the default in the problem's
+    module; a size the problem does not take stays as given and is unused.
     """
 
     problem: str
     n: int | None = None
-    nt: int = 100
+    nt: int | None = None
     gap_tol: float = 1e-10
     max_iter: int = 1000
     alpha: float = 0.5
@@ -197,9 +184,7 @@ def resolve_config(args) -> RunConfig:
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise UsageError(f"unknown problem {name!r} (known: {known})")
-    if settings.get("n") is None:
-        settings["n"] = _REGISTRY[name][2]
-    return RunConfig(**settings)
+    return RunConfig(**{**_REGISTRY[name].SIZES, **settings})
 
 
 def _fmt(value) -> str:
@@ -247,8 +232,8 @@ def run(config: RunConfig) -> int:
             max_iter=config.max_iter,
             armijo=ArmijoParams(alpha=config.alpha, gamma=config.gamma),
         )
-        module, build_args = _REGISTRY[config.problem][:2]
-        args = build_args(config)
+        module = _REGISTRY[config.problem]
+        args = (config.problem, *(getattr(config, key) for key in module.SIZES))
         grid = module.example_grid(*args)
         check_fits(module, grid)
         field_header(grid)  # refuse a grid control.txt cannot describe
@@ -274,7 +259,7 @@ def run(config: RunConfig) -> int:
         result = gcg_solve(composite, u0, solver_config)
         if config.diagnostics:
             report = diag.run_report(prob, result, config.alpha, config.gamma)
-    except (OracleError, LineSearchError, ResidualCheckError, ValueError) as exc:
+    except (OracleError, ResidualCheckError, ValueError) as exc:
         print(f"gcg: numerical failure: {exc}", file=sys.stderr)
         return 2
 
@@ -304,8 +289,8 @@ def run(config: RunConfig) -> int:
 
 def list_problems() -> int:
     for name in sorted(_REGISTRY):
-        default_n, description = _REGISTRY[name][2:]
-        print(f"{name:18s} (default n={default_n}) {description}")
+        module = _REGISTRY[name]
+        print(f"{name:18s} (default n={module.SIZES['n']}) {module.EXAMPLES[name]}")
     return 0
 
 

@@ -4,11 +4,13 @@ The solver in :mod:`gcg.core` produces a history of objective values and
 gap certificates.  This module turns that history into checkable claims:
 a sublinear decay envelope that every run must respect, and least-squares
 fits for the observed decay rate and the growth exponent of the adjoint
-level sets.  :func:`run_report` makes them all for one run, reading the
-instance only through its diagnostics surface, and returns the entries of
-its ``diagnostics.txt``.  The scalar recursions behind the convergence
-proofs, with the constants of their improved sublinear bound, are here too,
-as extremal sequences that test those bounds.
+level sets, which :func:`growth_measures` counts for every instance alike
+from the instance's ``growth_distance``.  :func:`run_report` makes them all
+for one run, reading the instance only through its diagnostics surface,
+and returns the entries of its ``diagnostics.txt``.  The scalar recursions
+behind the convergence proofs, with the constants of their improved
+sublinear bound, are here too, as extremal sequences that test those
+bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 # what `gcg run` or the acceptance criteria call
 __all__ = [
+    "growth_measures",
     "recursion_oracle_44",
     "recursion_oracle_48",
     "run_report",
@@ -229,6 +232,18 @@ def fit_rate(residuals, eps_fp: float = 0.0) -> tuple[float, float]:
     return float(np.exp(slope)), r_squared
 
 
+def growth_measures(distance, quantum: float, epsilons) -> list[float]:
+    """Measures of the near-threshold sets { distance <= eps }, one per eps.
+
+    ``distance`` is an instance's growth_distance(p), one entry of measure
+    ``quantum`` per node or time slice, so each measure is quantum times
+    the count of entries within eps.
+    """
+    for eps in epsilons:
+        _require_positive(eps=eps)
+    return [float(quantum * np.count_nonzero(distance <= eps)) for eps in epsilons]
+
+
 def select_growth_bins(
     epsilons, measures, quantum: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +329,9 @@ def run_report(prob, result, alpha: float, gamma: float) -> dict[str, object]:
         report["rate_lambda"] = f"n/a ({exc})"
 
     u, p = result.final_iterate, result.final_gradient
-    measures = [prob.growth_measure(p, eps) for eps in _GROWTH_EPSILONS]
+    measures = growth_measures(
+        prob.growth_distance(p), prob.growth_quantum, _GROWTH_EPSILONS
+    )
     eps_kept, meas_kept = select_growth_bins(
         _GROWTH_EPSILONS, measures, prob.growth_quantum
     )

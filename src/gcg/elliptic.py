@@ -28,7 +28,7 @@ from gcg.tracking import TrackingProblem
 # Full-size float64 arrays that a run keeps live at its peak, measured with
 # tracemalloc and pinned by tests/test_cli.py: stadler-ex1 at n = 512 peaks
 # at 20.1 of them with --track-errors and 19.0 without.  The control dump's
-# buffers, at most about 13 MB for its chunk of 2**16 values, are left out.
+# buffers, at most about 1.8 MB for its chunk of 2**13 values, are left out.
 RUN_ARRAYS = 21
 
 
@@ -37,12 +37,8 @@ class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, penalty weight, bounds, target.
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
-    applies it in the stencil's sine basis.  g_eval and dual_norm share
-    penalty_norm, pde.l1_norm, of each field through _memo_norm, so one
-    iteration sums |u| over u and over v once each.
+    applies it in the stencil's sine basis.
     """
-
-    penalty_norm = staticmethod(l1_norm)
 
     grid: Grid
     reg_beta: float
@@ -87,7 +83,7 @@ class EllipticProblem(TrackingProblem):
         lo, up = self._box
         if (u.values < lo).any() or (u.values > up).any():
             return math.inf
-        return self.reg_beta * self._memo_norm(u)
+        return self.reg_beta * l1_norm(u)
 
     def lmo(self, p: ControlField) -> ControlField:
         """Nodewise minimizer of p*v + beta*|v| over [lower, upper].
@@ -105,7 +101,7 @@ class EllipticProblem(TrackingProblem):
         return p.with_values(vals)
 
     def dual_norm(self, u: ControlField) -> float:
-        return self._memo_norm(u)
+        return l1_norm(u)
 
     def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
         """beta-weighted l1 norm of u + s du; the box holds on [0, 1].
@@ -138,13 +134,9 @@ class EllipticProblem(TrackingProblem):
         """Weight of one node: the smallest nonzero growth measure."""
         return self.grid.weight
 
-    def growth_measure(self, p: ControlField, eps: float) -> float:
-        """Measure of the near-threshold set { | |p| - beta | <= eps }:
-        the weight times its node count."""
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        band = np.abs(np.abs(p.values) - self.reg_beta) <= eps
-        return float(p.weight * np.count_nonzero(band))
+    def growth_distance(self, p: ControlField) -> np.ndarray:
+        """Per node, | |p| - beta |, the distance to the threshold."""
+        return np.abs(np.abs(p.values) - self.reg_beta)
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
         """Measure fractions describing how bang-bang-off a control is.
@@ -217,7 +209,7 @@ def _example_fields(name: str, grid: Grid):
 
 def example_grid(name: str, n: int) -> Grid:
     """The grid of a bundled instance, Grid(n, 2); it holds no arrays."""
-    if name not in ELLIPTIC_EXAMPLES:
+    if name not in EXAMPLES:
         raise ValueError(f"unknown elliptic example {name!r}")
     return Grid(n, 2)
 
@@ -242,7 +234,11 @@ def make_example(name: str, n: int) -> EllipticProblem:
     )
 
 
-ELLIPTIC_EXAMPLES = {
+# the bundled instances, name -> description
+EXAMPLES = {
     "stadler-ex1": "elliptic tracking, constant bounds +-30, three-valued optimal control",
     "stadler-ex3": "elliptic tracking, spatially varying upper bound and fixed source",
 }
+
+# the sizes example_grid and make_example take after the name, with defaults
+SIZES = {"n": 64}

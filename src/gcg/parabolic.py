@@ -16,6 +16,7 @@ minimizers concentrate on time slices where the adjoint is loud and satisfy
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -38,7 +39,7 @@ from gcg.tracking import TrackingProblem
 # tracemalloc and pinned by tests/test_cli.py: parabolic-ex at 32 x 32 x 500
 # and parabolic-ex-1d at 128 x 4000 peak at 10.1 and 10.2 of them with
 # --track-errors and 9.2 without.  The control dump's buffers, at most about
-# 13 MB for its chunk of 2**16 values, are left out.
+# 1.8 MB for its chunk of 2**13 values, are left out.
 RUN_ARRAYS = 11
 
 
@@ -46,13 +47,10 @@ RUN_ARRAYS = 11
 class ParabolicProblem(TrackingProblem):
     """One heat tracking instance on a space-time grid.
 
-    g_eval, dual_norm and g_along share penalty_norm, the squared slice
-    norms, of each field through _memo_norm, so one iteration takes those
-    norms of u and of v once each; the report's growth_measure and
-    structure read them there too, once per field.
+    g_eval, dual_norm, g_along and the report's growth_distance and
+    structure share the squared slice norms of each field through
+    _sq_norms, so one iteration takes those norms of u and of v once each.
     """
-
-    penalty_norm = staticmethod(slice_sq_norms)
 
     grid: SpaceTimeGrid
     conductivity: float
@@ -78,9 +76,22 @@ class ParabolicProblem(TrackingProblem):
     def solve_adjoint(self, values: np.ndarray) -> np.ndarray:
         return self.heat.adjoint(self.grid.as_slices(values)).ravel()
 
+    # ((weak reference to a field, its squared slice norms), ...), newest first
+    _sq_norm_memo = ()
+
+    def _sq_norms(self, u: ControlField) -> np.ndarray:
+        """slice_sq_norms(u), kept for the last two fields seen (u and v of
+        one iteration), keyed by identity; it holds its fields weakly."""
+        for ref, value in self._sq_norm_memo:
+            if ref() is u:
+                return value
+        value = slice_sq_norms(u)
+        self._sq_norm_memo = ((weakref.ref(u), value),) + self._sq_norm_memo[:1]
+        return value
+
     def _slice_norms(self, u: ControlField) -> np.ndarray:
         """slice_l2_norms(u), the square root of the memo's squared norms."""
-        return np.sqrt(self._memo_norm(u))
+        return np.sqrt(self._sq_norms(u))
 
     def g_eval(self, u: ControlField) -> float:
         """Weighted time-l1 of slice norms; infinite outside the slice ball."""
@@ -115,7 +126,7 @@ class ParabolicProblem(TrackingProblem):
         gives the floats of g_eval(u).  The ball holds on [0, 1] by
         convexity."""
         grid = self.grid
-        a0 = self._memo_norm(u)
+        a0 = self._sq_norms(u)
         a1 = slice_dots(grid, u.values, du)
         a2 = slice_dots(grid, du, du)
         tau, alpha = grid.tau, self.reg_alpha
@@ -137,12 +148,9 @@ class ParabolicProblem(TrackingProblem):
         """Length of one time step: the smallest nonzero growth measure."""
         return self.grid.tau
 
-    def growth_measure(self, p: ControlField, eps: float) -> float:
-        """Time measure of the near-threshold set { | |p(t)| - reg_alpha | <= eps }."""
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        band = np.abs(self._slice_norms(p) - self.reg_alpha) <= eps
-        return float(self.grid.tau * np.count_nonzero(band))
+    def growth_distance(self, p: ControlField) -> np.ndarray:
+        """Per time slice, | |p(t)| - reg_alpha |, the distance to the threshold."""
+        return np.abs(self._slice_norms(p) - self.reg_alpha)
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
         """Slice sparsity and the largest slice norms of a control / adjoint pair.
@@ -207,7 +215,11 @@ def make_example(name: str, nx: int, nt: int) -> ParabolicProblem:
     )
 
 
-PARABOLIC_EXAMPLES = {
+# the bundled instances, name -> description
+EXAMPLES = {
     "parabolic-ex": "heat tracking on the unit square with temporal sparsity",
     "parabolic-ex-1d": "one-dimensional reduction of parabolic-ex for quick runs",
 }
+
+# the sizes example_grid and make_example take after the name, with defaults
+SIZES = {"n": 32, "nt": 100}

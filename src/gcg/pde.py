@@ -46,8 +46,8 @@ _CHECK_BLOCK = 32
 # Backward-error bound of every checked solve: 64 eps.
 _BACKWARD_TOL = 64 * np.finfo(float).eps
 
-# Values per formatted chunk of a field dump.
-_DUMP_CHUNK = 1 << 16
+# Values per formatted chunk of a field dump, whose buffers peak near 1.8 MB.
+_DUMP_CHUNK = 1 << 13
 
 # 10**k for k = 0..20, each an exact double (5**20 < 2**53), and the range of
 # the 17-digit significands of a field dump.

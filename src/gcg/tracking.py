@@ -24,24 +24,20 @@ solver bundle once.  An instance class mixes it in and supplies:
     solve_adjoint(values)       S* applied to nodal values
     g_eval, lmo, dual_norm      the nonsmooth term, its oracle and dual norm
     g_along(u, du)              callable s -> g(u + s du) for s in [0, 1]
-    penalty_norm(u)             the norm of u that _memo_norm memoises
 
 and, for the run diagnostics, lipschitz_estimate, growth_quantum,
-growth_measure(p, eps) and structure(u, p).
+growth_distance(p) and structure(u, p).  growth_distance(p) is the array of
+distances to the penalty threshold, one entry of measure growth_quantum per
+node or time slice; gcg.diagnostics counts the near-threshold sets from it.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Optional
 
 import numpy as np
 
 from gcg.core import CompositeProblem, ControlField
-
-# Fields whose penalty norm a TrackingProblem keeps: u and v of one
-# iteration.
-_NORM_SLOTS = 2
 
 
 class TrackingProblem:
@@ -62,9 +58,6 @@ class TrackingProblem:
     drift from a fresh solve by rounding; gcg_solve evaluates at a new
     field before it stops.  The record assumes that no field's values are
     changed in place; the solver makes every iterate a new ControlField.
-    _memo_norm keeps a second memo, of penalty_norm of the last _NORM_SLOTS
-    fields, also keyed by identity; it holds its fields weakly and keeps
-    no values alive.
 
     The segment's curvature |S (v - u)|**2 needs no field: armijo_step
     recovers it from phi(1) and starts where it guarantees a pass.
@@ -73,23 +66,6 @@ class TrackingProblem:
     # (u, S u, segment), segment = (v, v - u, S (v - u)) of the last segment
     # priced from u, or None
     _memo: Optional[tuple[ControlField, np.ndarray, Optional[tuple]]] = None
-
-    # ((weak reference to a field, its norm), ...), newest first
-    _norm_memo = ()
-
-    def _memo_norm(self, u: ControlField):
-        """penalty_norm(u), from the memo when u is one of the last fields seen.
-
-        The instance's g_eval, dual_norm and g_along share its one
-        penalty_norm, so one iteration takes it of u and of v once each.
-        """
-        for ref, value in self._norm_memo:
-            if ref() is u:
-                return value
-        value = self.penalty_norm(u)
-        kept = self._norm_memo[: _NORM_SLOTS - 1]
-        self._norm_memo = ((weakref.ref(u), value),) + kept
-        return value
 
     def _state_at(self, u: ControlField) -> np.ndarray:
         if self._memo is not None and self._memo[0] is u:

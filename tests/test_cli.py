@@ -429,7 +429,7 @@ def test_defaults_resolve_per_problem():
     assert config == RunConfig(
         problem="stadler-ex1",
         n=64,
-        nt=100,
+        nt=None,
         gap_tol=1e-10,
         max_iter=1000,
         alpha=0.5,
@@ -440,6 +440,18 @@ def test_defaults_resolve_per_problem():
     )
     config = resolve_config(parser.parse_args(["run", "--problem", "parabolic-ex"]))
     assert config.n == 32 and config.nt == 100
+
+
+def test_nt_is_unused_on_an_elliptic_problem(tmp_path, capsys):
+    # the registry passes an instance only the sizes its module states
+    argv = ["run", "--problem", "stadler-ex1", "--n", "4", "--max-iter", "5"]
+    assert run_cli(argv + ["--out-dir", tmp_path / "plain"]) == 0
+    assert run_cli(argv + ["--nt", "7", "--out-dir", tmp_path / "nt"]) == 0
+    capsys.readouterr()
+    for name in ("history.csv", "control.txt", "diagnostics.txt"):
+        assert (tmp_path / "nt" / name).read_bytes() == (
+            tmp_path / "plain" / name
+        ).read_bytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

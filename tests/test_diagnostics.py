@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from gcg import elliptic
+from gcg import elliptic, parabolic
 from gcg.core import IterateRecord, SolverConfig, gcg_solve
 from gcg.diagnostics import (
+    _GROWTH_EPSILONS,
     RATE_FIT_BURN_IN,
     RATE_FIT_TAIL_DECADES,
     check_envelope,
     envelope_q,
     fit_kappa,
     fit_rate,
+    growth_measures,
     rate_fit_window,
     recursion_oracle_44,
     recursion_oracle_48,
@@ -22,6 +24,7 @@ from gcg.diagnostics import (
     select_growth_bins,
     sublinear_constants,
 )
+from gcg.pde import slice_l2_norms
 
 
 def test_envelope_q_hand_value():
@@ -254,6 +257,39 @@ def test_run_report_kappa_is_vacuous_only_when_every_measure_is_zero():
     prob = elliptic.make_example("stadler-ex1", 4)
     result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=40))
     assert run_report(prob, result, 0.5, 0.99)["kappa_hat"] != "vacuous"
-    prob.growth_measure = lambda p, eps: 0.0
+    prob.growth_distance = lambda p: np.full(p.size, math.inf)
     report = run_report(prob, result, 0.5, 0.99)
     assert report["kappa_hat"] == "vacuous" and report["kappa_fit_bins"] == 0
+
+
+@pytest.mark.parametrize(
+    "build, band",
+    [
+        (
+            lambda: elliptic.make_example("stadler-ex1", 16),
+            lambda prob, p: np.abs(np.abs(p.values) - prob.reg_beta),
+        ),
+        (
+            lambda: parabolic.make_example("parabolic-ex-1d", 16, 200),
+            lambda prob, p: np.abs(slice_l2_norms(p) - prob.reg_alpha),
+        ),
+    ],
+    ids=["elliptic", "parabolic"],
+)
+def test_growth_measures_match_the_band_formula(build, band):
+    # the shared count from growth_distance is each instance's own band
+    # formula, quantum * count_nonzero(band <= eps), float for float, at
+    # every eps of the growth fit and at criterion 8a's delta
+    prob = build()
+    result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=60))
+    p, gap = result.final_gradient, result.history[-1].gap
+    delta = math.sqrt(prob.lipschitz_estimate) * math.sqrt(2.0 * gap)
+    epsilons = [*_GROWTH_EPSILONS, delta]
+    distance = band(prob, p)
+    expected = [
+        float(prob.growth_quantum * np.count_nonzero(distance <= eps))
+        for eps in epsilons
+    ]
+    got = growth_measures(prob.growth_distance(p), prob.growth_quantum, epsilons)
+    assert got == expected
+    assert len(set(got)) > 2  # the counts move across the epsilons

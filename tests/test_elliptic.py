@@ -14,12 +14,13 @@ from gcg.core import (
     gcg_solve,
     pairing,
 )
+from gcg.diagnostics import growth_measures
 from gcg.elliptic import (
-    ELLIPTIC_EXAMPLES,
+    EXAMPLES,
     EllipticProblem,
     make_example,
 )
-from gcg.pde import Grid, l1_norm
+from gcg.pde import Grid
 
 
 def dense_inverse(grid):
@@ -154,35 +155,6 @@ def test_g_eval_box_and_penalty():
             assert wide.g_eval(grid.field(values)) == math.inf
 
 
-def test_l1_norms_are_summed_once_per_field(monkeypatch):
-    # g_eval and dual_norm share one sum of m |u|, penalty_norm, per
-    # field, so a solve sums it at most once for each distinct field, and
-    # its history is the one of a solve that sums it at every call
-    prob = make_example("stadler-ex3", 8)
-    config = SolverConfig(max_iter=40)
-    summed = []
-
-    def counted(field):
-        summed.append(field)  # keeps every field alive: ids stay distinct
-        return l1_norm(field)
-
-    monkeypatch.setattr(EllipticProblem, "penalty_norm", staticmethod(counted))
-    memoised = gcg_solve(prob.composite(), prob.zero_control(), config)
-    assert len(memoised.history) == 41
-    assert len(summed) >= len(memoised.history)
-    assert len({id(field) for field in summed}) == len(summed)
-
-    def unmemoised(self, u):
-        return self.penalty_norm(u)
-
-    monkeypatch.setattr(EllipticProblem, "_memo_norm", unmemoised)
-    direct = gcg_solve(prob.composite(), prob.zero_control(), config)
-    assert direct.history == memoised.history
-    np.testing.assert_array_equal(
-        direct.final_iterate.values, memoised.final_iterate.values
-    )
-
-
 def test_line_objective_matches_direct_evaluation():
     prob = make_example("stadler-ex3", 8)
     rng = np.random.default_rng(37)
@@ -221,11 +193,13 @@ def test_structure_transition_band():
 
 def test_growth_measure_band_mass():
     prob = small_problem(beta=0.5)
-    p = prob.grid.field([0.7, 0.1, -0.55])
-    assert prob.growth_measure(p, 0.1) == pytest.approx(0.25)
-    assert prob.growth_measure(p, 0.25) == pytest.approx(0.5)
+    p = prob.grid.field([0.75, 0.1, -0.55])  # node 0 on the 0.25 band's edge
+    distance = prob.growth_distance(p)
+    np.testing.assert_allclose(distance, [0.25, 0.4, 0.05])
+    measures = growth_measures(distance, prob.growth_quantum, [0.1, 0.25])
+    assert measures == pytest.approx([0.25, 0.5])
     with pytest.raises(ValueError):
-        prob.growth_measure(p, 0.0)
+        growth_measures(distance, prob.growth_quantum, [0.1, 0.0])
 
 
 def test_example_parameters():
@@ -248,7 +222,7 @@ def test_example_parameters():
 
     with pytest.raises(ValueError):
         make_example("no-such-example", 8)
-    assert set(ELLIPTIC_EXAMPLES) == {"stadler-ex1", "stadler-ex3"}
+    assert set(EXAMPLES) == {"stadler-ex1", "stadler-ex3"}
 
 
 def test_example_fixed_source_folds_into_target():
@@ -331,7 +305,7 @@ def test_problem_validation():
 def test_examples_are_square_only():
     # example_grid names the example and builds the square grid, so the
     # fields need no checks of their own
-    for name in ELLIPTIC_EXAMPLES:
+    for name in EXAMPLES:
         assert make_example(name, 4).grid == Grid(4, 2)
     with pytest.raises(ValueError, match="unknown elliptic example 'stadler-ex2'"):
         make_example("stadler-ex2", 4)

@@ -6,9 +6,11 @@ import operator
 import numpy as np
 import pytest
 
+from gcg import parabolic
 from gcg.core import ControlField, SolverConfig, gcg_solve, pairing
+from gcg.diagnostics import growth_measures
 from gcg.parabolic import (
-    PARABOLIC_EXAMPLES,
+    EXAMPLES,
     ParabolicProblem,
     make_example,
 )
@@ -242,10 +244,13 @@ def test_growth_measure_time_band():
     scale = 1.0 / math.sqrt(h)
     p = prob.grid.field(np.array([0.7, 0.1, 0.55, 0.45]) * scale)
     tau = prob.grid.tau
-    assert prob.growth_measure(p, 0.1) == pytest.approx(2 * tau)
-    assert prob.growth_measure(p, 0.25) == pytest.approx(3 * tau)
+    assert prob.growth_quantum == tau
+    distance = prob.growth_distance(p)
+    np.testing.assert_allclose(distance, [0.2, 0.4, 0.05, 0.05])
+    measures = growth_measures(distance, tau, [0.1, 0.25])
+    assert measures == pytest.approx([2 * tau, 3 * tau])
     with pytest.raises(ValueError):
-        prob.growth_measure(p, -1.0)
+        growth_measures(distance, tau, [-1.0])
 
 
 def test_example_parameters():
@@ -272,7 +277,7 @@ def test_example_parameters():
 
     with pytest.raises(ValueError):
         make_example("no-such-example", 4, 4)
-    assert set(PARABOLIC_EXAMPLES) == {"parabolic-ex", "parabolic-ex-1d"}
+    assert set(EXAMPLES) == {"parabolic-ex", "parabolic-ex-1d"}
 
 
 def test_sample_feasible_stays_in_ball():
@@ -313,7 +318,7 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     def passes_over(*fields):
         return len(passes) == len(fields) and all(map(operator.is_, passes, fields))
 
-    monkeypatch.setattr(ParabolicProblem, "penalty_norm", staticmethod(counted))
+    monkeypatch.setattr(parabolic, "slice_sq_norms", counted)
     got = (prob.g_eval(u), prob.g_eval(v), prob.dual_norm(u), prob.dual_norm(v))
     g_along = prob.g_along(u, du)
     assert passes_over(u, v)
@@ -349,8 +354,8 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
 
 
 def test_report_reads_slice_norms_from_the_memo(monkeypatch):
-    # growth_measure at every eps and structure take the slice norms of p
-    # and of u once each, with the floats of slice_l2_norms
+    # growth_distance and structure take the slice norms of p and of u once
+    # each, with the floats of slice_l2_norms
     prob = make_example("parabolic-ex", 6, 9)
     u = prob.sample_feasible(np.random.default_rng(31))
     _, p = prob.f_and_grad(u)
@@ -360,10 +365,11 @@ def test_report_reads_slice_norms_from_the_memo(monkeypatch):
         passes.append(field)
         return slice_sq_norms(field)
 
-    monkeypatch.setattr(ParabolicProblem, "penalty_norm", staticmethod(counted))
+    monkeypatch.setattr(parabolic, "slice_sq_norms", counted)
     epsilons = [2.0**-k for k in range(1, 19)]
-    measures = [prob.growth_measure(p, eps) for eps in epsilons]
+    distance = prob.growth_distance(p)
     rep = prob.structure(u, p)
+    measures = growth_measures(distance, prob.growth_quantum, epsilons)
     assert len(passes) == 2 and passes[0] is p and passes[1] is u
 
     p_norms, u_norms = slice_l2_norms(p), slice_l2_norms(u)
