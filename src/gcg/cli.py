@@ -10,8 +10,8 @@ configuration reproduces byte-identical files.  The sine-basis products
 sum in a thread-dependent order, so pin the count, for example with
 OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte for byte.
 
-Exit codes: 0 on a completed solve, 1 on usage errors, 2 on numerical
-failures, 3 on I/O failures.
+Exit codes: 0 on a completed solve, 1 on usage errors and on running out
+of memory, 2 on numerical failures, 3 on I/O failures.
 
 A run whose estimated peak, 8 bytes x its instance module's RUN_ARRAYS x
 the nodes of its grid (times nt in space-time), exceeds MAX_RUN_BYTES is
@@ -146,10 +146,11 @@ _SETTINGS = {
 def load_config_file(path) -> dict:
     """Parse a flat key=value settings file into RunConfig field values.
 
-    '#' starts a comment.  The file must be UTF-8 text.
+    '#' starts a comment.  The file must be UTF-8 text; a leading
+    byte-order mark, as some editors write, is skipped.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     settings = {}
@@ -239,7 +240,7 @@ def run(config: RunConfig) -> int:
         field_header(grid)  # refuse a grid control.txt cannot describe
         prob = module.make_example(*args)
         u0 = prob.zero_control()
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         print(f"gcg: error: {exc}", file=sys.stderr)
         return 1
 
@@ -307,7 +308,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gcg: i/o failure: {exc}", file=sys.stderr)
         return 3
-    return run(config)
+    try:
+        return run(config)
+    except MemoryError as exc:  # in the build, the solves, the report or the dump
+        print(f"gcg: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ Minimizers inherit that three-valued structure wherever |p| != beta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -22,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from gcg.core import ControlField
-from gcg.pde import Grid, PoissonSolver, l1_norm, laplacian_c_constant
+from gcg.pde import Grid, PoissonSolver, laplacian_c_constant
 from gcg.tracking import TrackingProblem
 
 # Full-size float64 arrays that a run keeps live at its peak, measured with
@@ -37,7 +36,8 @@ class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, penalty weight, bounds, target.
 
     K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
-    applies it in the stencil's sine basis.
+    applies it in the stencil's sine basis.  The penalty's groups are the
+    nodes, of measure h**dim each, and its feasible set is the box.
     """
 
     grid: Grid
@@ -65,7 +65,7 @@ class EllipticProblem(TrackingProblem):
 
     @cached_property
     def _box(self) -> tuple[np.ndarray, np.ndarray]:
-        """lower - tol and upper + tol, tol = 1e-12 bound_scale: g_eval's box."""
+        """lower - tol and upper + tol, tol = 1e-12 bound_scale: the feasible box."""
         tol = 1e-12 * self.bound_scale
         return self.lower.values - tol, self.upper.values + tol
 
@@ -78,12 +78,33 @@ class EllipticProblem(TrackingProblem):
 
     solve_adjoint = solve_state  # the stencil is symmetric, so S* = S = K
 
-    def g_eval(self, u: ControlField) -> float:
-        """beta-weighted l1 norm, infinite outside _box (bounds plus fp slack)."""
+    @property
+    def penalty(self) -> float:
+        return self.reg_beta
+
+    @property
+    def growth_quantum(self) -> float:
+        """Weight of one node: the smallest nonzero growth measure."""
+        return self.grid.weight
+
+    def group_norms(self, u: ControlField) -> np.ndarray:
+        return np.abs(u.values)
+
+    def group_norms_along(self, u: ControlField, du: np.ndarray) -> Callable:
+        """s -> |u + s du|, each probe in one fresh buffer."""
+        vals = u.values
+
+        def norms(s: float) -> np.ndarray:
+            x = s * du
+            x += vals
+            return np.abs(x, out=x)
+
+        return norms
+
+    def feasible(self, u: ControlField) -> bool:
+        """Whether u lies in _box: the bounds plus a floating-point slack."""
         lo, up = self._box
-        if (u.values < lo).any() or (u.values > up).any():
-            return math.inf
-        return self.reg_beta * l1_norm(u)
+        return not ((u.values < lo).any() or (u.values > up).any())
 
     def lmo(self, p: ControlField) -> ControlField:
         """Nodewise minimizer of p*v + beta*|v| over [lower, upper].
@@ -100,43 +121,11 @@ class EllipticProblem(TrackingProblem):
         )
         return p.with_values(vals)
 
-    def dual_norm(self, u: ControlField) -> float:
-        return l1_norm(u)
-
-    def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
-        """beta-weighted l1 norm of u + s du; the box holds on [0, 1].
-
-        Each probe is beta (w sum |u + s du|), in one buffer, so s = 0
-        gives the floats of g_eval(u).
-        """
-        beta, w, vals = self.reg_beta, u.weight, u.values
-
-        def g_val(s: float) -> float:
-            x = s * du
-            x += vals
-            return beta * (w * float(np.abs(x, out=x).sum()))
-
-        return g_val
-
-    @cached_property
-    def lipschitz_estimate(self) -> float:
-        """Gradient Lipschitz bound c**2, c the l2-by-l1 bound of K.
-
-        c comes in closed form from the sine eigenbasis of the grid's
-        stencil (pde.laplacian_c_constant); the column scan
-        _sparse_reference.estimate_c_constant is its test oracle.
-        """
-        c = laplacian_c_constant(self.grid)
-        return c * c
-
-    @property
-    def growth_quantum(self) -> float:
-        """Weight of one node: the smallest nonzero growth measure."""
-        return self.grid.weight
-
-    def growth_distance(self, p: ControlField) -> np.ndarray:
-        """Per node, | |p| - beta |, the distance to the threshold."""
-        return np.abs(np.abs(p.values) - self.reg_beta)
+    def response_constant(self) -> float:
+        """c, the l2-by-l1 bound of K, in closed form from the stencil's sine
+        basis; the column scan _sparse_reference.estimate_c_constant is its
+        test oracle."""
+        return laplacian_c_constant(self.grid)
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
         """Measure fractions describing how bang-bang-off a control is.

@@ -15,7 +15,6 @@ minimizers concentrate on time slices where the adjoint is loud and satisfy
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,8 +46,9 @@ RUN_ARRAYS = 11
 class ParabolicProblem(TrackingProblem):
     """One heat tracking instance on a space-time grid.
 
-    g_eval, dual_norm, g_along and the report's growth_distance and
-    structure share the squared slice norms of each field through
+    The penalty's groups are the time slices, of length tau each, and its
+    feasible set is the slice ball.  group_norms, group_norms_along and the
+    report's structure share the squared slice norms of each field through
     _sq_norms, so one iteration takes those norms of u and of v once each.
     """
 
@@ -89,17 +89,36 @@ class ParabolicProblem(TrackingProblem):
         self._sq_norm_memo = ((weakref.ref(u), value),) + self._sq_norm_memo[:1]
         return value
 
-    def _slice_norms(self, u: ControlField) -> np.ndarray:
+    @property
+    def penalty(self) -> float:
+        return self.reg_alpha
+
+    @property
+    def growth_quantum(self) -> float:
+        """Length of one time step: the smallest nonzero growth measure."""
+        return self.grid.tau
+
+    def group_norms(self, u: ControlField) -> np.ndarray:
         """slice_l2_norms(u), the square root of the memo's squared norms."""
         return np.sqrt(self._sq_norms(u))
 
-    def g_eval(self, u: ControlField) -> float:
-        """Weighted time-l1 of slice norms; infinite outside the slice ball."""
-        norms = self._slice_norms(u)
+    def group_norms_along(self, u: ControlField, du: np.ndarray) -> Callable:
+        """s -> slice norms of u + s du, sqrt(a0 + 2 s a1 + s**2 a2): a0 from
+        the memo, a1 and a2 the slice_dots (u, du) and (du, du)."""
+        grid = self.grid
+        a0 = self._sq_norms(u)
+        a1 = slice_dots(grid, u.values, du)
+        a2 = slice_dots(grid, du, du)
+
+        def norms(s: float) -> np.ndarray:
+            return np.sqrt(np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0))
+
+        return norms
+
+    def feasible(self, u: ControlField) -> bool:
+        """Whether every slice norm is within 1e-12 max(1, M) of the ball."""
         tol = 1e-12 * max(1.0, self.ball_radius)
-        if np.any(norms > self.ball_radius + tol):
-            return math.inf
-        return self.reg_alpha * float(self.grid.tau * norms.sum())
+        return not np.any(self.group_norms(u) > self.ball_radius + tol)
 
     def lmo(self, p: ControlField) -> ControlField:
         """Slicewise minimizer of (p(t), v) + reg_alpha |v| over the ball.
@@ -114,43 +133,9 @@ class ParabolicProblem(TrackingProblem):
         scale = np.where(active, -self.ball_radius / np.where(norms > 0, norms, 1.0), 0.0)
         return p.with_values((slices * scale[:, None]).ravel())
 
-    def dual_norm(self, u: ControlField) -> float:
-        """Time integral of the slice norms, tau times their sum."""
-        return float(self.grid.tau * self._slice_norms(u).sum())
-
-    def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
-        """Group term of u + s du: per slice, the square root of a quadratic
-        a0 + 2 s a1 + s**2 a2 in s.  a0 is u's squared slice norms, and a1
-        and a2 are h**dim times the per-slice dots (u, du) and (du, du),
-        by pde.slice_dots.  The sum is associated as in g_eval, so s = 0
-        gives the floats of g_eval(u).  The ball holds on [0, 1] by
-        convexity."""
-        grid = self.grid
-        a0 = self._sq_norms(u)
-        a1 = slice_dots(grid, u.values, du)
-        a2 = slice_dots(grid, du, du)
-        tau, alpha = grid.tau, self.reg_alpha
-
-        def g_val(s: float) -> float:
-            sq = np.maximum(a0 + 2.0 * s * a1 + s * s * a2, 0.0)
-            return alpha * float(tau * np.sqrt(sq).sum())
-
-        return g_val
-
-    @cached_property
-    def lipschitz_estimate(self) -> float:
-        """Gradient Lipschitz bound c**2 from the slice-impulse response."""
-        c = heat_c_constant(self.grid, self.conductivity)
-        return c * c
-
-    @property
-    def growth_quantum(self) -> float:
-        """Length of one time step: the smallest nonzero growth measure."""
-        return self.grid.tau
-
-    def growth_distance(self, p: ControlField) -> np.ndarray:
-        """Per time slice, | |p(t)| - reg_alpha |, the distance to the threshold."""
-        return np.abs(self._slice_norms(p) - self.reg_alpha)
+    def response_constant(self) -> float:
+        """c, the space-time l2 bound of the slice-impulse response."""
+        return heat_c_constant(self.grid, self.conductivity)
 
     def structure(self, u: ControlField, p: ControlField) -> dict[str, float]:
         """Slice sparsity and the largest slice norms of a control / adjoint pair.
@@ -158,14 +143,14 @@ class ParabolicProblem(TrackingProblem):
         time_sparsity_fraction: fraction of time slices where |u(t)| lies
         within 1e-6 * max(1, M) of {0, M}.
         """
-        norms = self._slice_norms(u)
+        norms = self.group_norms(u)
         m = self.ball_radius
         atol = 1e-6 * max(1.0, m)
         on_vertex = np.minimum(norms, np.abs(norms - m)) <= atol
         return {
             "time_sparsity_fraction": float(np.count_nonzero(on_vertex)) / norms.size,
             "control_norm_max": float(np.max(norms)),
-            "adjoint_norm_max": float(np.max(self._slice_norms(p))),
+            "adjoint_norm_max": float(np.max(self.group_norms(p))),
         }
 
     def sample_feasible(self, rng: np.random.Generator) -> ControlField:

@@ -6,8 +6,8 @@ nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
 3-point (1D) or 5-point (2D) stencil divided by h**2, and integrals use
 the composite midpoint rule: one weight per grid, h**dim in space and
 tau h**dim in space-time, so every weighted sum is that weight times a
-plain sum or dot product.  The norms here are the ones the penalties use:
-l1_norm and the per-slice slice_dots, slice_sq_norms and slice_l2_norms.
+plain sum or dot product.  The norms here are the per-slice ones the
+parabolic penalty uses: slice_dots, slice_sq_norms and slice_l2_norms.
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
@@ -372,11 +372,6 @@ class HeatOperator:
                 prev = states[max(b0 - 1, 0) : b1 - 1]
                 rhs[rhs.shape[0] - prev.shape[0] :] += prev
             check_residual(self.step, states[b0:b1], rhs, "heat step {}", b0)
-
-
-def l1_norm(u: ControlField) -> float:
-    """Weighted l1 norm weight * sum_i |u_i|."""
-    return u.weight * float(np.abs(u.values).sum())
 
 
 def slice_dots(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:

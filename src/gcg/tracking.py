@@ -1,4 +1,4 @@
-"""The quadratic tracking term shared by the bundled control instances.
+"""The tracking term and the group-norm penalty shared by the bundled instances.
 
 Both instances minimize  f(u) + g(u)  with the same smooth part
 
@@ -9,30 +9,34 @@ w.  Its gradient is the adjoint state p = S* (S u - target), and along a
 segment u + s (v - u) it is the exact quadratic f0 + s f1 + s**2 f2 / 2,
 with f1 = w dot(r, dy) and f2 = w dot(dy, dy), so one more solve for
 dy = S (v - u) prices every backtracking probe without further PDE work.
-f0 is f(u) by the same expression, from the same residual, so phi(0) is
-f(u) + g(u) bit for bit wherever g_along(u, du)(0) is g_eval(u).
-The accepted point's state is then S u + s dy, so the next gradient needs
-only the adjoint solve: two PDE solves per iteration.  One memo record
-holds u, S u and the last segment priced from u.
+The accepted point's state is then S u + s dy, kept in one memo record,
+so the next gradient needs only the adjoint solve: two PDE solves per
+iteration.
 
-TrackingProblem implements f, its gradient, the segment objective and the
-solver bundle once.  An instance class mixes it in and supplies:
+Both share g too: g(u) = lambda * (q * sum_i |u_i|) on a feasible set, and
+infinite off it, for groups i of measure q, nodes or time slices.  f0 is
+f(u) by f_and_grad's expression and g_along sums as g_eval does, so phi(0)
+is j(u) bit for bit wherever group_norms_along(u, du)(0) is group_norms(u).
 
-    target                      the tracked state, a ControlField
-    grid                        with zero_field()
-    solve_state(values)         S applied to nodal values
-    solve_adjoint(values)       S* applied to nodal values
-    g_eval, lmo, dual_norm      the nonsmooth term, its oracle and dual norm
-    g_along(u, du)              callable s -> g(u + s du) for s in [0, 1]
+TrackingProblem implements f, its gradient, the segment objective, g and
+the solver bundle once.  An instance class mixes it in and supplies:
 
-and, for the run diagnostics, lipschitz_estimate, growth_quantum,
-growth_distance(p) and structure(u, p).  growth_distance(p) is the array of
-distances to the penalty threshold, one entry of measure growth_quantum per
-node or time slice; gcg.diagnostics counts the near-threshold sets from it.
+    target, grid                the tracked state; a grid with zero_field()
+    solve_state, solve_adjoint  S and S* applied to nodal values
+    penalty, growth_quantum     lambda and q
+    group_norms(u)              the array of group norms |u_i|
+    group_norms_along(u, du)    callable s -> group_norms(u + s du)
+    feasible(u), lmo(p)         the feasible set and the penalty's oracle
+    response_constant()         c, the l2 bound of S over unit-measure inputs
+    structure(u, p)             the run report's structure entries
+
+and the rest follows, down to growth_distance(p) = | |p_i| - lambda |, from
+which gcg.diagnostics counts the near-threshold sets.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +45,8 @@ from gcg.core import CompositeProblem, ControlField
 
 
 class TrackingProblem:
-    """f(u) = 0.5 |S u - target|**2 with one memo record of the state S u.
+    """f(u) = 0.5 |S u - target|**2 with one memo record of the state S u,
+    and g(u) = penalty * dual_norm(u) on the feasible set.
 
     Every sum of the misfit is u's weight times a plain dot product of the
     residual and the state difference, f = 0.5 w dot(r, r) and the segment
@@ -131,6 +136,35 @@ class TrackingProblem:
         dy += y_u
         self._memo = (w, dy, None)
         return w
+
+    def g_eval(self, u: ControlField) -> float:
+        """penalty * dual_norm(u), infinite where u is not feasible."""
+        return self.penalty * self.dual_norm(u) if self.feasible(u) else np.inf
+
+    def dual_norm(self, u: ControlField) -> float:
+        """The measured sum of group norms, growth_quantum * sum_i |u_i|."""
+        return self.growth_quantum * float(self.group_norms(u).sum())
+
+    def g_along(self, u: ControlField, du: np.ndarray) -> Callable[[float], float]:
+        """s -> g(u + s du), summed as g_eval sums; by convexity u + s du is
+        feasible for s in [0, 1], so the set is not rechecked."""
+        penalty, quantum = self.penalty, self.growth_quantum
+        norms_along = self.group_norms_along(u, du)
+
+        def g_val(s: float) -> float:
+            return penalty * (quantum * float(norms_along(s).sum()))
+
+        return g_val
+
+    def growth_distance(self, p: ControlField) -> np.ndarray:
+        """Per group, | |p_i| - penalty |, the distance to the threshold."""
+        return np.abs(self.group_norms(p) - self.penalty)
+
+    @cached_property
+    def lipschitz_estimate(self) -> float:
+        """Gradient Lipschitz bound c**2, c = response_constant()."""
+        c = self.response_constant()
+        return c * c
 
     def composite(self) -> CompositeProblem:
         return CompositeProblem(

@@ -275,6 +275,30 @@ def test_grid_too_large_to_allocate_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, message, written",
+    [
+        ("gcg_solve", "Unable to allocate 2.00 GiB for an array", False),
+        ("write_field", "", True),
+    ],
+)
+def test_memory_error_after_building_exits_one(
+    tmp_path, capsys, monkeypatch, name, message, written
+):
+    # the solve and the dump take the memory the estimate allows, whatever
+    # the machine has free; running out there is the same one line, and a
+    # MemoryError without a message says what it is
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, name, exhausted)
+    out_dir = tmp_path / "out"
+    assert run_cli(ELLIPTIC_FAST + ["--out-dir", out_dir]) == 1
+    err = capsys.readouterr().err
+    assert err == f"gcg: error: {message or 'out of memory'}\n"
+    assert (out_dir / "history.csv").exists() is written
+
+
+@pytest.mark.parametrize(
     "argv, nodes",
     [
         (["--problem", "parabolic-ex-1d", "--n", "3", "--nt", "100000000"], 3 * 10**8),
@@ -505,6 +529,28 @@ def test_config_file_rejects_bad_content(tmp_path, capsys):
     assert code == 1
     assert err.startswith("gcg: error: ") and "UTF-8" in err
     assert len(err.splitlines()) == 1
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # editors that write a UTF-8 byte-order mark give the same settings
+    text = "n = 16\ntol = 1e-8\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    parser = build_parser()
+    configs = [
+        resolve_config(
+            parser.parse_args(["run", "--problem", "stadler-ex1", "--config", str(path)])
+        )
+        for path in (plain, marked)
+    ]
+    assert configs[0] == configs[1]
+    assert configs[0].n == 16 and configs[0].gap_tol == 1e-8
+    # a bad byte after the mark is still refused, at its offset in the file
+    marked.write_bytes(b"\xef\xbb\xbfn = 16\n\xff = 3\n")
+    with pytest.raises(cli.UsageError, match=r"not UTF-8 text \(byte 10\)"):
+        load_config_file(marked)
 
 
 def test_load_config_file_types(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the Poisson tracking instance: gradient, LMO, structure tools."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ def test_line_objective_matches_direct_evaluation():
             f_val, _ = prob.f_and_grad(blend)
             direct = f_val + prob.g_eval(blend)
             assert phi(s) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+def test_each_probe_of_the_group_norms_takes_one_buffer():
+    # a backtracking probe sums |u + s du| from one full-size buffer, the
+    # array it returns
+    prob = make_example("stadler-ex1", 64)
+    rng = np.random.default_rng(17)
+    u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    along = prob.group_norms_along(u, v.values - u.values)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norms = along(0.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert norms.nbytes <= peak < 1.5 * norms.nbytes
 
 
 def test_structure_hand_case():

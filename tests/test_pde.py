@@ -32,13 +32,17 @@ from gcg.pde import (
     check_residual,
     field_header,
     heat_c_constant,
-    l1_norm,
     laplacian_c_constant,
     read_field,
     slice_l2_norms,
     smallest_laplacian_eigenvalue,
     write_field,
 )
+
+
+def l1_norm(u):
+    """The weighted l1 norm, weight * sum_i |u_i|."""
+    return u.weight * float(np.abs(u.values).sum())
 
 
 def l2_norm(u):

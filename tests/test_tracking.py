@@ -269,6 +269,39 @@ def test_phi_at_zero_is_j_of_u_bit_for_bit(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_penalty_is_the_measured_sum_of_group_norms(kind):
+    # g_eval, dual_norm, g_along and growth_distance all come from the
+    # instance's group norms, summed as penalty * (growth_quantum * sum)
+    prob = BUILDERS[kind]()
+    lam, q = prob.penalty, prob.growth_quantum
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+        du = v.values - u.values
+        norms = prob.group_norms(u)
+        along = prob.group_norms_along(u, du)
+        assert along(0.0).tobytes() == norms.tobytes()
+        assert prob.dual_norm(u) == q * float(norms.sum())
+        assert prob.g_eval(u) == lam * prob.dual_norm(u)
+        g_along = prob.g_along(u, du)
+        assert g_along(0.0) == prob.g_eval(u)
+        for s in STEPS:
+            assert g_along(s) == lam * (q * float(along(s).sum()))
+        _, p = prob.f_and_grad(u)
+        distance = prob.growth_distance(p)
+        assert distance.tobytes() == np.abs(prob.group_norms(p) - lam).tobytes()
+
+    # a vertex of the oracle sits on the boundary of the feasible set; a step
+    # of 1e-13 beyond stays within the set's 1e-12 slack, one of 1e-9 leaves it
+    vertex = prob.lmo(u.with_values(rng.standard_normal(u.size)))
+    assert prob.dual_norm(vertex) > 0.0
+    for scale, inside in ((1.0, True), (1.0 + 1e-13, True), (1.0 + 1e-9, False)):
+        x = vertex.with_values(scale * vertex.values)
+        assert prob.feasible(x) is inside
+        assert math.isfinite(prob.g_eval(x)) is inside
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
     # armijo_step takes c = 2 (phi(1) - j(u) + gap) for the curvature
     # |S (v - u)|**2 of the priced segment; it is that norm to rounding

@@ -22,7 +22,7 @@ import pytest
 
 from gcg import elliptic, parabolic
 from gcg.core import dual_gap
-from gcg.pde import l1_norm, slice_sq_norms
+from gcg.pde import slice_sq_norms
 
 EPS = np.finfo(float).eps
 
@@ -117,7 +117,7 @@ def test_elliptic_l1_and_probe(ex1_segment):
     for x in (u.values, v.values):
         ref, scale = reference(w, np.abs(x), ones)
         old = old_dot(w, np.abs(x), ones)
-        assert_parity(l1_norm(u.with_values(x)), old, ref, scale, n)
+        assert_parity(prob.dual_norm(u.with_values(x)), old, ref, scale, n)
     g_val = nonlocals(phi)["g_along"]
     du = v.values - u.values
     beta = prob.reg_beta
@@ -138,7 +138,7 @@ def test_parabolic_slice_norms_and_g_along(heat_segment):
     w, ns = grid.space.weight, grid.space.n_nodes
     u_sl = grid.as_slices(u.values)
     d_sl = grid.as_slices(v.values - u.values)
-    quad = nonlocals(nonlocals(phi)["g_along"])
+    quad = nonlocals(nonlocals(nonlocals(phi)["g_along"])["norms_along"])
     for x, y, new in (
         (u_sl, u_sl, slice_sq_norms(u)),
         (u_sl, u_sl, quad["a0"]),
