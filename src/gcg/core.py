@@ -125,13 +125,6 @@ class ControlField:
         return self.with_values(self.values - other.values)
 
 
-def pairing(a: ControlField, b: ControlField) -> float:
-    """Weighted duality pairing weight * sum_i a_i b_i."""
-    if a.size != b.size:
-        raise ValueError("fields must have equal length")
-    return a.weight * float(np.dot(a.values, b.values))
-
-
 @dataclass(frozen=True)
 class CompositeProblem:
     """Callable bundle describing one composite objective f + g.

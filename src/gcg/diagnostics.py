@@ -7,10 +7,9 @@ fits for the observed decay rate and the growth exponent of the adjoint
 level sets, which :func:`growth_measures` counts for every instance alike
 from the instance's ``growth_distance``.  :func:`run_report` makes them all
 for one run, reading the instance only through its diagnostics surface,
-and returns the entries of its ``diagnostics.txt``.  The scalar recursions
-behind the convergence proofs, with the constants of their improved
-sublinear bound, are here too, as extremal sequences that test those
-bounds.
+and returns the entries of its ``diagnostics.txt``.  No run needs the
+scalar recursions behind the convergence proofs, so they live with the
+tests that check the paper's bounds on them (criterion 10).
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ import math
 
 import numpy as np
 
-# what `gcg run` or the acceptance criteria call
-__all__ = [
-    "growth_measures",
-    "recursion_oracle_44",
-    "recursion_oracle_48",
-    "run_report",
-    "sublinear_constants",
-]
+# what `gcg run` calls; criterion 8a also counts with growth_measures
+__all__ = ["growth_measures", "run_report"]
 
 # level-set widths of the growth-exponent fit: 2**-20, ..., 2**-3
 _GROWTH_EPSILONS = [2.0**-e for e in range(20, 2, -1)]
@@ -80,104 +73,6 @@ def check_envelope(
     if bad.size:
         return False, int(bad[0])
     return True, None
-
-
-def sublinear_constants(
-    delta: float, exponent_beta: float, C: float, rK: float
-) -> tuple[float, float]:
-    """Constants (n, M) of the improved sublinear bound M / (k + n)^(1/beta).
-
-    n = (2 - (1/delta)^beta) / ((1/delta)^beta - 1)
-    M = max{ rK * n^(1/beta),
-             1 / (delta * ((beta - (1-beta)(2^beta - 1)) * C)^(1/beta)) }
-
-    ``rK`` is the residual at the first iterate where it drops to 1 or
-    below.  n is positive exactly when (1/delta)^beta < 2; a negative n
-    is returned as computed so the caller can detect the regime.
-    """
-    if not 0.5 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [1/2, 1), got {delta!r}")
-    if not 0.0 < exponent_beta < 1.0:
-        raise ValueError(f"exponent_beta must lie in (0, 1), got {exponent_beta!r}")
-    _require_positive(C=C)
-    if rK < 0.0 or not math.isfinite(rK):
-        raise ValueError(f"rK must be nonnegative, got {rK!r}")
-    beta = exponent_beta
-    growth = (1.0 / delta) ** beta
-    n = (2.0 - growth) / (growth - 1.0)
-    base = (beta - (1.0 - beta) * (2.0**beta - 1.0)) * C
-    if base <= 0.0:
-        raise ValueError(
-            f"recursion constant base is nonpositive ({base!r}); "
-            "the bound constants are not real for these parameters"
-        )
-    m_left = rK * n ** (1.0 / beta) if n > 0.0 else float("-inf")
-    m_right = 1.0 / (delta * base ** (1.0 / beta))
-    return n, max(m_left, m_right)
-
-
-def recursion_oracle_44(q, steps: int) -> np.ndarray:
-    """Extremal sequence of the recursion h_{k+1} = h_k - q h_k^2, h_0 = 1.
-
-    The generated sequence is the worst case among all sequences with
-    h_{k+1} <= (1 - q h_k) h_k and serves as a test harness for the decay
-    bound h_k <= 1 / (1 + q k).  q may be an array of rates; h then has
-    shape (steps + 1, *q.shape), one sequence per rate, each with the same
-    floats as a scalar call.
-    """
-    q = np.asarray(q, dtype=float)[()]  # a float64 scalar when q is one
-    if not np.all((q > 0.0) & (q <= 1.0)):
-        raise ValueError(f"q must lie in (0, 1], got {q!r}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    h = np.empty((steps + 1, *q.shape))
-    h[0] = 1.0
-    for k in range(steps):
-        h[k + 1] = h[k] - q * h[k] * h[k]
-    return h
-
-
-def recursion_oracle_48(
-    delta: float,
-    C: float,
-    exponent_beta: float,
-    steps: int,
-    h0: float = 1.0,
-) -> tuple[np.ndarray, int | None]:
-    """Extremal sequence of h_{k+1} = max{delta, 1 - C h_k^beta} h_k with its bound check.
-
-    Iterates the recursion from ``h0`` and checks h_k <= M / (k + n)^(1/beta)
-    with (n, M) from :func:`sublinear_constants` at rK = h0.  Returns the
-    sequence and the first index violating the bound (``None`` if it holds
-    throughout).
-
-    The bound is guaranteed in the slow-start regime C * h0^beta < 1 - delta,
-    where the max is attained by the delta branch at the start.  Outside that
-    regime the stated constants can fail by a small margin at early indices,
-    so callers probing the bound should draw parameters from the slow-start
-    region.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if h0 < 0.0 or not math.isfinite(h0):
-        raise ValueError(f"h0 must be nonnegative, got {h0!r}")
-    # scalar Python floats: a numpy array power can round differently
-    delta, C, beta = float(delta), float(C), float(exponent_beta)
-    n, M = sublinear_constants(delta, beta, C, h0)
-    h_k = float(h0)
-    h = [h_k]
-    for _ in range(steps):
-        shrink = 1.0 - C * h_k**beta
-        h_k = (shrink if shrink > delta else delta) * h_k
-        h.append(h_k)
-    inv_beta = 1.0 / beta
-    violation = None
-    for k, h_k in enumerate(h):
-        shifted = k + n
-        if shifted <= 0.0 or h_k > M / shifted**inv_beta:
-            violation = k
-            break
-    return np.array(h), violation
 
 
 RATE_FIT_TAIL_DECADES = 2.0

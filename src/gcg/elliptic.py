@@ -173,10 +173,6 @@ class EllipticProblem(TrackingProblem):
         case = float(np.count_nonzero(ok)) / total
         return {"three_value_fraction": three, "case_match_fraction": case}
 
-    def sample_feasible(self, rng: np.random.Generator) -> ControlField:
-        vals = rng.uniform(self.lower.values, self.upper.values)
-        return self.lower.with_values(vals)
-
 
 def _example_fields(name: str, grid: Grid):
     """Bounds, y_d, fixed source and beta of a bundled instance."""

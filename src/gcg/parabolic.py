@@ -153,16 +153,6 @@ class ParabolicProblem(TrackingProblem):
             "adjoint_norm_max": float(np.max(self.group_norms(p))),
         }
 
-    def sample_feasible(self, rng: np.random.Generator) -> ControlField:
-        """Random control with per-slice norm uniform in [0, ball radius]."""
-        grid = self.grid
-        slices = rng.standard_normal((grid.nt, grid.space.n_nodes))
-        norms = np.sqrt(slice_dots(grid, slices, slices))
-        radii = self.ball_radius * rng.uniform(0.0, 1.0, grid.nt)
-        scale = np.where(norms > 0, radii / np.where(norms > 0, norms, 1.0), 0.0)
-        return grid.field(slices * scale[:, None])
-
-
 # the spatial dimension of each bundled instance
 _SPACE_DIMS = {"parabolic-ex": 2, "parabolic-ex-1d": 1}
 

@@ -18,12 +18,19 @@ from gcg.core import (
     SolverConfig,
     SolveStatus,
     gcg_solve,
-    pairing,
 )
 from gcg.pde import (
     Grid,
     HeatOperator,
     SpaceTimeGrid,
+)
+
+from helpers import (
+    pairing,
+    recursion_oracle_44,
+    recursion_oracle_48,
+    sample_feasible,
+    sublinear_constants,
 )
 
 ALPHA = 0.5
@@ -110,7 +117,7 @@ def test_criterion_01_gradient_checks():
     ):
         t = 1e-5
         for trial in range(20):
-            u = prob.sample_feasible(rng)
+            u = sample_feasible(prob, rng)
             d = u.with_values(rng.standard_normal(u.size))
             _, grad = prob.f_and_grad(u)
             dd = pairing(grad, d)
@@ -339,7 +346,7 @@ def test_criterion_10_recursion_property_suites():
     # all 10000 draws at once: one sequence per column, with the floats of
     # 10000 scalar calls
     q = rng.uniform(1e-3, 1.0, 10000)
-    h = diag.recursion_oracle_44(q, 150)
+    h = recursion_oracle_44(q, 150)
     bound = 1.0 / (1.0 + np.arange(151)[:, None] * q)
     ok = bool(np.all(h <= bound + 1e-14))
 
@@ -353,10 +360,10 @@ def test_criterion_10_recursion_property_suites():
     lows = 0.01 * c_maxes
     cs = lows + (c_maxes - lows) * u[:, 2]
     for delta, beta, c in zip(deltas.tolist(), betas.tolist(), cs.tolist()):
-        _, violation = diag.recursion_oracle_48(delta, c, beta, 200)
+        _, violation = recursion_oracle_48(delta, c, beta, 200)
         ok = ok and violation is None
 
-    n, _ = diag.sublinear_constants(0.5, 0.5, 0.1, 1.0)
+    n, _ = sublinear_constants(0.5, 0.5, 0.1, 1.0)
     hand_ok = abs(n - math.sqrt(2.0)) <= 1e-6
     ok = ok and hand_ok
     line = report(

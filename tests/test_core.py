@@ -20,8 +20,9 @@ from gcg.core import (
     armijo_step,
     dual_gap,
     gcg_solve,
-    pairing,
 )
+
+from helpers import pairing
 
 
 def scalar_problem(target, lower=-1.0, upper=1.0):

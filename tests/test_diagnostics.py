@@ -17,14 +17,13 @@ from gcg.diagnostics import (
     fit_rate,
     growth_measures,
     rate_fit_window,
-    recursion_oracle_44,
-    recursion_oracle_48,
     residuals_from_history,
     run_report,
     select_growth_bins,
-    sublinear_constants,
 )
 from gcg.pde import slice_l2_norms
+
+from helpers import recursion_oracle_44, recursion_oracle_48, sublinear_constants
 
 
 def test_envelope_q_hand_value():

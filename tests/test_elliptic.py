@@ -13,7 +13,6 @@ from gcg.core import (
     SolveStatus,
     dual_gap,
     gcg_solve,
-    pairing,
 )
 from gcg.diagnostics import growth_measures
 from gcg.elliptic import (
@@ -22,6 +21,8 @@ from gcg.elliptic import (
     make_example,
 )
 from gcg.pde import Grid
+
+from helpers import pairing, sample_feasible
 
 
 def dense_inverse(grid):
@@ -44,7 +45,7 @@ def test_gradient_matches_central_difference():
     rng = np.random.default_rng(7)
     t = 1e-5
     for trial in range(20):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         d = u.with_values(rng.standard_normal(u.size))
         f_val, grad = prob.f_and_grad(u)
         f_plus, _ = prob.f_and_grad(u.with_values(u.values + t * d.values))
@@ -95,7 +96,7 @@ def test_lmo_certificate_against_random_feasible_points():
     v = prob.lmo(p)
     lhs = pairing(p, v) + prob.g_eval(v)
     for trial in range(1000):
-        w = prob.sample_feasible(rng)
+        w = sample_feasible(prob, rng)
         rhs = pairing(p, w) + prob.g_eval(w)
         assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
 
@@ -112,7 +113,7 @@ def test_lmo_threshold_cases_and_ties():
 def test_lmo_output_is_gap_certified():
     prob = make_example("stadler-ex1", 6).composite()
     rng = np.random.default_rng(29)
-    grid_field = make_example("stadler-ex1", 6).sample_feasible(rng)
+    grid_field = sample_feasible(make_example("stadler-ex1", 6), rng)
     _, grad = prob.smooth_eval(grid_field)
     v = prob.lmo(grad)
     gap = dual_gap(
@@ -160,7 +161,7 @@ def test_line_objective_matches_direct_evaluation():
     prob = make_example("stadler-ex3", 8)
     rng = np.random.default_rng(37)
     for trial in range(5):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         _, grad = prob.f_and_grad(u)
         v = prob.lmo(grad)
         phi = prob.line_objective(u, v)
@@ -176,7 +177,7 @@ def test_each_probe_of_the_group_norms_takes_one_buffer():
     # array it returns
     prob = make_example("stadler-ex1", 64)
     rng = np.random.default_rng(17)
-    u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    u, v = sample_feasible(prob, rng), sample_feasible(prob, rng)
     along = prob.group_norms_along(u, v.values - u.values)
     tracemalloc.start()
     try:
@@ -271,8 +272,8 @@ def test_lipschitz_estimate_bounds_gradient_differences():
     big_l = prob.lipschitz_estimate
     rng = np.random.default_rng(43)
     for trial in range(10):
-        u = prob.sample_feasible(rng)
-        w = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
+        w = sample_feasible(prob, rng)
         _, gu = prob.f_and_grad(u)
         _, gw = prob.f_and_grad(w)
         diff, grad_diff = u.diff(w), gu.diff(gw)
@@ -300,7 +301,7 @@ def test_sample_feasible_respects_bounds():
     prob = make_example("stadler-ex3", 5)
     rng = np.random.default_rng(47)
     for trial in range(10):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         assert np.all(u.values >= prob.lower.values)
         assert np.all(u.values <= prob.upper.values)
         assert math.isfinite(prob.g_eval(u))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gcg import parabolic
-from gcg.core import ControlField, SolverConfig, gcg_solve, pairing
+from gcg.core import ControlField, SolverConfig, gcg_solve
 from gcg.diagnostics import growth_measures
 from gcg.parabolic import (
     EXAMPLES,
@@ -20,6 +20,8 @@ from gcg.pde import (
     slice_l2_norms,
     slice_sq_norms,
 )
+
+from helpers import pairing, sample_feasible
 
 
 def tiny_problem(alpha=0.5, radius=1.0, nt=3):
@@ -38,7 +40,7 @@ def test_gradient_matches_central_difference():
     rng = np.random.default_rng(53)
     t = 1e-5
     for trial in range(20):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         d = u.with_values(rng.standard_normal(u.size))
         f_val, grad = prob.f_and_grad(u)
         f_plus, _ = prob.f_and_grad(u.with_values(u.values + t * d.values))
@@ -73,7 +75,7 @@ def test_lmo_certificate_against_random_feasible_points():
     v = prob.lmo(p)
     lhs = pairing(p, v) + prob.g_eval(v)
     for trial in range(1000):
-        w = prob.sample_feasible(rng)
+        w = sample_feasible(prob, rng)
         rhs = pairing(p, w) + prob.g_eval(w)
         assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
 
@@ -125,7 +127,7 @@ def test_line_objective_matches_direct_evaluation():
     prob = make_example("parabolic-ex-1d", 8, 10)
     rng = np.random.default_rng(71)
     for trial in range(5):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         _, grad = prob.f_and_grad(u)
         v = prob.lmo(grad)
         phi = prob.line_objective(u, v)
@@ -284,7 +286,7 @@ def test_sample_feasible_stays_in_ball():
     prob = make_example("parabolic-ex-1d", 6, 9)
     rng = np.random.default_rng(79)
     for trial in range(10):
-        u = prob.sample_feasible(rng)
+        u = sample_feasible(prob, rng)
         assert np.all(slice_l2_norms(u) <= prob.ball_radius * (1.0 + 1e-12))
         assert math.isfinite(prob.g_eval(u))
 
@@ -307,7 +309,7 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     prob = make_example("parabolic-ex", 6, 9)
     grid, w = prob.grid, prob.grid.space.weight
     rng = np.random.default_rng(29)
-    u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    u, v = sample_feasible(prob, rng), sample_feasible(prob, rng)
     du = v.values - u.values
     passes = []
 
@@ -343,12 +345,12 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
 
     # a third field takes the oldest slot; a field that no longer exists
     # matches nothing, whatever reuses its identity
-    x = prob.sample_feasible(rng)
+    x = sample_feasible(prob, rng)
     assert prob.dual_norm(x) == time_l1(x)
     assert prob.dual_norm(u) == time_l1(u)
     assert passes_over(u, v, x, u)
     del x, passes[:]
-    y = prob.sample_feasible(rng)
+    y = sample_feasible(prob, rng)
     assert prob.dual_norm(y) == time_l1(y)
     assert passes_over(y)
 
@@ -357,7 +359,7 @@ def test_report_reads_slice_norms_from_the_memo(monkeypatch):
     # growth_distance and structure take the slice norms of p and of u once
     # each, with the floats of slice_l2_norms
     prob = make_example("parabolic-ex", 6, 9)
-    u = prob.sample_feasible(np.random.default_rng(31))
+    u = sample_feasible(prob, np.random.default_rng(31))
     _, p = prob.f_and_grad(u)
     passes = []
 

@@ -16,7 +16,7 @@ from gcg._sparse_reference import (
     assemble_laplacian,
     estimate_c_constant,
 )
-from gcg.core import ControlField, pairing
+from gcg.core import ControlField
 from gcg.pde import (
     _CHECK_BLOCK,
     _DUMP_CHUNK,
@@ -38,6 +38,8 @@ from gcg.pde import (
     smallest_laplacian_eigenvalue,
     write_field,
 )
+
+from helpers import pairing
 
 
 def l1_norm(u):

@@ -22,6 +22,8 @@ from gcg.core import (
 )
 from gcg.pde import ResidualCheckError
 
+from helpers import sample_feasible
+
 BUILDERS = {
     "elliptic": lambda: elliptic.make_example("stadler-ex1", 12),
     "parabolic": lambda: parabolic.make_example("parabolic-ex", 8, 10),
@@ -66,7 +68,7 @@ def count_solves(prob, names=("solve_state",)) -> list:
 def test_memo_parity_with_a_fresh_instance(kind):
     prob, fresh = BUILDERS[kind](), BUILDERS[kind]()
     rng = np.random.default_rng(89)
-    u, w = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    u, w = sample_feasible(prob, rng), sample_feasible(prob, rng)
     _, grad = prob.f_and_grad(u)
     v = prob.lmo(grad)
     expected = [fresh.line_objective(u, v)(s) for s in STEPS]
@@ -164,7 +166,7 @@ def test_final_row_comes_from_a_fresh_evaluation(stop):
 def test_step_carries_the_state_of_the_priced_segment_only(kind):
     prob = BUILDERS[kind]()
     rng = np.random.default_rng(97)
-    u, w = prob.sample_feasible(rng), prob.sample_feasible(rng)
+    u, w = sample_feasible(prob, rng), sample_feasible(prob, rng)
     _, grad = prob.f_and_grad(u)
     v = prob.lmo(grad)
     s = 0.99**7
@@ -235,7 +237,7 @@ def test_reused_values_are_the_fresh_floats(kind):
     # carried state give, bit for bit, what computing each afresh gives
     prob, fresh = BUILDERS[kind](), BUILDERS[kind]()
     rng = np.random.default_rng(101)
-    u = prob.sample_feasible(rng)
+    u = sample_feasible(prob, rng)
     f_u, grad = prob.f_and_grad(u)
     v = prob.lmo(grad)
     y_u = fresh.solve_state(u.values)
@@ -263,7 +265,7 @@ def test_phi_at_zero_is_j_of_u_bit_for_bit(kind):
     prob = BUILDERS[kind]()
     rng = np.random.default_rng(0)
     for _ in range(200):
-        u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+        u, v = sample_feasible(prob, rng), sample_feasible(prob, rng)
         f_u, _ = prob.f_and_grad(u)
         assert prob.line_objective(u, v)(0.0) == f_u + prob.g_eval(u)
 
@@ -276,7 +278,7 @@ def test_penalty_is_the_measured_sum_of_group_norms(kind):
     lam, q = prob.penalty, prob.growth_quantum
     rng = np.random.default_rng(43)
     for _ in range(50):
-        u, v = prob.sample_feasible(rng), prob.sample_feasible(rng)
+        u, v = sample_feasible(prob, rng), sample_feasible(prob, rng)
         du = v.values - u.values
         norms = prob.group_norms(u)
         along = prob.group_norms_along(u, du)
@@ -308,7 +310,7 @@ def test_curvature_from_phi_at_one_is_the_segment_norm(kind):
     prob = BUILDERS[kind]()
     rng = np.random.default_rng(107)
     eps = np.finfo(float).eps
-    for u in (prob.zero_control(), *(prob.sample_feasible(rng) for _ in range(4))):
+    for u in (prob.zero_control(), *(sample_feasible(prob, rng) for _ in range(4))):
         f_u, grad = prob.f_and_grad(u)
         g_u = prob.g_eval(u)
         v = prob.lmo(grad)

@@ -24,6 +24,8 @@ from gcg import elliptic, parabolic
 from gcg.core import dual_gap
 from gcg.pde import slice_sq_norms
 
+from helpers import sample_feasible
+
 EPS = np.finfo(float).eps
 
 
@@ -60,7 +62,7 @@ def nonlocals(fn) -> dict:
 def build_segment(prob):
     """prob, a random feasible u, f(u) and its gradient, the residual at u,
     v = lmo(gradient), phi on [u, v] and dy = S (v - u)."""
-    u = prob.sample_feasible(np.random.default_rng(7))
+    u = sample_feasible(prob, np.random.default_rng(7))
     f_u, grad = prob.f_and_grad(u)
     resid = prob._memo[1] - prob.target.values
     v = prob.lmo(grad)
@@ -128,7 +130,7 @@ def test_elliptic_l1_and_probe(ex1_segment):
     # the probe at s = 0 gives the floats of g_eval, so phi(0) = j(u)
     rng = np.random.default_rng(11)
     for _ in range(32):
-        x = prob.sample_feasible(rng)
+        x = sample_feasible(prob, rng)
         assert prob.g_along(x, du)(0.0) == prob.g_eval(x)
 
 
