@@ -208,8 +208,12 @@ def run_report(prob, result, alpha: float, gamma: float) -> dict[str, object]:
     r0 = float(residuals[0])
     if r0 > 0.0:
         q_env = envelope_q(r0, alpha, gamma, prob.lipschitz_estimate, result.mstar)
-        ok, violation = check_envelope(residuals, q_env, result.eps_fp)
-        report.update(q_env=q_env, envelope_ok=ok, envelope_violation=violation)
+        if q_env > 0.0:
+            ok, violation = check_envelope(residuals, q_env, result.eps_fp)
+            report.update(q_env=q_env, envelope_ok=ok, envelope_violation=violation)
+        else:
+            # gamma r0 small enough, or L mstar**2 large enough, to round q to 0
+            report["q_env"] = "n/a (q rounds to 0.0)"
     else:
         # every accepted step lowers j, so r_0 = 0 only when none was taken
         report["q_env"] = "n/a (no step taken)"

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from gcg.core import ControlField
-from gcg.pde import Grid, PoissonSolver, laplacian_c_constant
+from gcg.pde import Grid, ShiftedLaplacian, laplacian_c_constant
 from gcg.tracking import TrackingProblem
 
 # Full-size float64 arrays that a run keeps live at its peak, measured with
@@ -35,7 +35,7 @@ RUN_ARRAYS = 21
 class EllipticProblem(TrackingProblem):
     """One tracking instance: grid, penalty weight, bounds, target.
 
-    K is the inverse of the grid's Dirichlet stencil; a PoissonSolver
+    K is the inverse of the grid's Dirichlet stencil; a ShiftedLaplacian
     applies it in the stencil's sine basis.  The penalty's groups are the
     nodes, of measure h**dim each, and its feasible set is the box.
     """
@@ -70,8 +70,8 @@ class EllipticProblem(TrackingProblem):
         return self.lower.values - tol, self.upper.values + tol
 
     @cached_property
-    def _poisson(self) -> PoissonSolver:
-        return PoissonSolver(self.grid)
+    def _poisson(self) -> ShiftedLaplacian:
+        return ShiftedLaplacian(self.grid)
 
     def solve_state(self, values: np.ndarray) -> np.ndarray:
         return self._poisson.solve(values)
@@ -209,7 +209,7 @@ def make_example(name: str, n: int) -> EllipticProblem:
     """
     grid = example_grid(name, n)
     lower, upper, y_d, source, beta = _example_fields(name, grid)
-    target = y_d if source is None else y_d - PoissonSolver(grid).solve(source)
+    target = y_d if source is None else y_d - ShiftedLaplacian(grid).solve(source)
     return EllipticProblem(
         grid=grid,
         reg_beta=beta,

@@ -29,7 +29,6 @@ from gcg.pde import (
     SpaceTimeGrid,
     heat_c_constant,
     slice_dots,
-    slice_l2_norms,
     slice_sq_norms,
 )
 from gcg.tracking import TrackingProblem
@@ -99,7 +98,7 @@ class ParabolicProblem(TrackingProblem):
         return self.grid.tau
 
     def group_norms(self, u: ControlField) -> np.ndarray:
-        """slice_l2_norms(u), the square root of the memo's squared norms."""
+        """The slice l2 norms of u, the square root of the memo's squared norms."""
         return np.sqrt(self._sq_norms(u))
 
     def group_norms_along(self, u: ControlField, du: np.ndarray) -> Callable:
@@ -125,9 +124,10 @@ class ParabolicProblem(TrackingProblem):
 
         Slices with |p(t)| >= reg_alpha get the antipodal boundary point
         -M p(t)/|p(t)|; quieter slices get 0.  A zero slice with
-        reg_alpha = 0 also maps to 0.
+        reg_alpha = 0 also maps to 0.  p's norms stay out of the memo, which
+        keeps the last u and v.
         """
-        norms = slice_l2_norms(p)
+        norms = np.sqrt(slice_dots(self.grid, p.values, p.values))
         slices = self.grid.as_slices(p.values)
         active = (norms >= self.reg_alpha) & (norms > 0.0)
         scale = np.where(active, -self.ball_radius / np.where(norms > 0, norms, 1.0), 0.0)

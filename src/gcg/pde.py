@@ -7,18 +7,19 @@ nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
 the composite midpoint rule: one weight per grid, h**dim in space and
 tau h**dim in space-time, so every weighted sum is that weight times a
 plain sum or dot product.  The norms here are the per-slice ones the
-parabolic penalty uses: slice_dots, slice_sq_norms and slice_l2_norms.
+parabolic penalty uses: slice_dots and slice_sq_norms.
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
-The orthonormal sine basis diagonalises the stencil, and with it every
-implicit Euler step.  PoissonSolver divides by the stencil eigenvalues in
-that basis and HeatOperator sweeps mode by mode in it.  check_residual then
-checks every solve and step in backward-error form,
-|M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf), and raises
-ResidualCheckError on a miss.  M, the stencil or the step I + tau a A, is
-applied matrix-free with array slices, and |M|_inf comes in closed form, so
-this module needs numpy only.
+Both PDEs invert one operator, M = shift I + scale A: the stencil A itself
+(shift 0, scale 1) for the Poisson solve, and I + tau a A for every
+implicit Euler step.  ShiftedLaplacian states it once.  It applies M
+matrix-free with array slices, gives |M|_inf in closed form, changes to
+the orthonormal sine basis that diagonalises M, and holds M's eigenvalues
+in that basis.  Its solve divides by them, and HeatOperator sweeps mode by
+mode with them.  check_residual then checks every solve and step in
+backward-error form, |M y - r|_inf <= 64 eps (|M|_inf |y|_inf + |r|_inf),
+and raises ResidualCheckError on a miss, so this module needs numpy only.
 The l2-by-l1 response constants of both solution operators come in closed
 form from the same basis: laplacian_c_constant for the inverse Laplacian,
 heat_c_constant for the heat solve.  The assembled sparse stencil, its LU
@@ -186,22 +187,50 @@ def check_residual(operator, y, rhs, label="linear solve", first=0):
         )
 
 
-class _Stencil:
-    """M = shift I + scale A for the Dirichlet stencil A of one grid, matrix-free.
+def smallest_laplacian_eigenvalue(grid: Grid) -> float:
+    """Closed-form smallest eigenvalue of the assembled Dirichlet stencil."""
+    h = grid.h
+    return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
+
+
+class ShiftedLaplacian:
+    """M = shift I + scale A for the Dirichlet stencil A of one grid.
 
     A has the diagonal 2 dim/h**2 and the entry -1/h**2 for each neighbour
-    along an axis (see Grid for the node order).  norm is |M|_inf in closed
-    form: a row has at most min(n - 1, 2) neighbours per direction, and for
-    n <= 2 every row is a boundary row.
+    along an axis (see Grid for the node order).  residual applies M
+    matrix-free, and norm is |M|_inf in closed form: a row has at most
+    min(n - 1, 2) neighbours per direction, and for n <= 2 every row is a
+    boundary row.  Those two are what check_residual reads.
+
+    The orthonormal sine basis diagonalises M.  sines are sin(pi h j k),
+    j, k = 1..n, and matrix = sqrt(2h) sines is the orthonormal DST-I
+    matrix S: symmetric, its own inverse, and S T S = diag(mu) for the 1D
+    stencil T.  divisor = shift + scale lambda holds M's eigenvalues,
+    flattened like the nodes: the mode (p, q) of S Y S in 2D has
+    lambda = mu_p + mu_q.  solve divides by them in that basis.
+    laplacian_c_constant scales the sines itself, so it keeps its own
+    rounding of S o S.
     """
 
     def __init__(self, grid: Grid, shift: float = 0.0, scale: float = 1.0):
-        h2 = grid.h**2
-        self._n = grid.n
+        h, h2 = grid.h, grid.h**2
+        self.grid = grid
         self._strides = (1, grid.n)[: grid.dim]
         self._coupling = scale / h2
         self._diagonal = shift + 2 * grid.dim * self._coupling
         self.norm = shift + scale * ((2 + min(grid.n - 1, 2)) * grid.dim / h2)
+        k = np.arange(1, grid.n + 1)
+        self.sines = np.sin(math.pi * h * np.outer(k, k))
+        self.matrix = math.sqrt(2.0 * h) * self.sines
+        # mu = 4 sin(x)**2 / h**2 with x = pi h k / 2.  From the middle mode
+        # up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of cancellation and
+        # exact at x = pi/4, the only mode of Grid(1, dim).
+        t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
+        mu = np.where(
+            t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
+        ) / h2
+        eigenvalues = mu if grid.dim == 1 else (mu[:, None] + mu[None, :]).ravel()
+        self.divisor = shift + scale * eigenvalues
 
     def residual(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """|M y_i - r_i| of every row i of y and rhs, shape (k, n_nodes).
@@ -215,7 +244,7 @@ class _Stencil:
         Contiguous shifts run much faster than the same subtractions on
         strided slices.
         """
-        c, n = self._coupling, self._n
+        c, n = self._coupling, self.grid.n
         y = np.ascontiguousarray(y)
         w = c * y
         out = self._diagonal * y
@@ -235,39 +264,6 @@ class _Stencil:
         out -= rhs
         return np.abs(out, out=out)
 
-
-def smallest_laplacian_eigenvalue(grid: Grid) -> float:
-    """Closed-form smallest eigenvalue of the assembled Dirichlet stencil."""
-    h = grid.h
-    return grid.dim * ((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2)
-
-
-class _SineBasis:
-    """The orthonormal sine basis that diagonalises the stencil of one grid.
-
-    sines are sin(pi h j k), j, k = 1..n, and mu the 1D stencil eigenvalues.
-    matrix = sqrt(2h) sines is the orthonormal DST-I matrix S: symmetric,
-    its own inverse, and S T S = diag(mu) for the 1D stencil T.
-    eigenvalues are the stencil's, flattened like the nodes: the mode (p, q)
-    of S Y S in 2D has mu_p + mu_q.  laplacian_c_constant scales the sines
-    itself, so it keeps its own rounding of S o S.
-    """
-
-    def __init__(self, grid: Grid):
-        h = grid.h
-        k = np.arange(1, grid.n + 1)
-        self.sines = np.sin(math.pi * h * np.outer(k, k))
-        # mu = 4 sin(x)**2 / h**2 with x = pi h k / 2.  From the middle mode
-        # up, 4 sin(x)**2 = 2 (1 - sin(pi/2 - 2x)) is free of cancellation and
-        # exact at x = pi/4, the only mode of Grid(1, dim).
-        t = math.pi * h * (grid.n + 1 - 2 * k) / 2.0
-        mu = self.mu = np.where(
-            t > 0.0, 4.0 * np.sin(math.pi * h * k / 2.0) ** 2, 2.0 * (1.0 - np.sin(t))
-        ) / h**2
-        self.dim = grid.dim
-        self.matrix = math.sqrt(2.0 * h) * self.sines
-        self.eigenvalues = mu if grid.dim == 1 else (mu[:, None] + mu[None, :]).ravel()
-
     def change(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write S x_m (1D) or S X_m S (2D) of every row to out; out may be x.
 
@@ -278,7 +274,7 @@ class _SineBasis:
         n = s.shape[0]
         for b0 in range(0, x.shape[0], _SLICE_BLOCK):
             block = x[b0 : b0 + _SLICE_BLOCK]
-            if self.dim == 1:
+            if self.grid.dim == 1:
                 out[b0 : b0 + _SLICE_BLOCK] = block @ s
             else:
                 np.matmul(
@@ -287,28 +283,16 @@ class _SineBasis:
                     out=out[b0 : b0 + _SLICE_BLOCK].reshape(-1, n, n),
                 )
 
-
-class PoissonSolver:
-    """Solves A y = r for the Dirichlet stencil A of one grid.
-
-    y = S Lambda**-1 S r in the stencil's orthonormal sine basis S, then
-    checked against the matrix-free stencil by check_residual.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.stencil = _Stencil(grid)
-        self._basis = _SineBasis(grid)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """y with M y = r: S diag(divisor)**-1 S r, checked by check_residual."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.grid.n_nodes,):
             raise ValueError("right hand side has the wrong length")
         y = np.empty((1, rhs.size))
-        self._basis.change(rhs[None], y)
-        y /= self._basis.eigenvalues
-        self._basis.change(y, y)
-        check_residual(self.stencil, y[0], rhs)
+        self.change(rhs[None], y)
+        y /= self.divisor
+        self.change(y, y)
+        check_residual(self, y[0], rhs)
         return y[0]
 
 
@@ -320,20 +304,17 @@ class HeatOperator:
     The adjoint is the exact transpose of the forward map with respect to
     the space-time inner product sum_m tau (x_m, z_m)_h.
 
-    A sweep maps every slice to the orthonormal sine basis, where each step
-    is the per-mode recursion z = (z + tau u_m) / (1 + tau a lambda), and
-    maps back.  check_residual then checks every step against step, the
-    matrix-free I + tau a A.
+    step is the ShiftedLaplacian I + tau a A of the spatial grid.  A sweep
+    changes every slice to its sine basis with step.change, runs the
+    per-mode recursion z = (z + tau u_m) / step.divisor there, and changes
+    back.  check_residual then checks each Euler step against that operator.
     """
 
     def __init__(self, grid: SpaceTimeGrid, conductivity: float):
         if conductivity <= 0.0:
             raise ValueError("conductivity must be positive")
         self.grid = grid
-        space = grid.space
-        self.step = _Stencil(space, 1.0, grid.tau * conductivity)
-        self._basis = _SineBasis(space)
-        self._decay = 1.0 + grid.tau * conductivity * self._basis.eigenvalues
+        self.step = ShiftedLaplacian(grid.space, 1.0, grid.tau * conductivity)
 
     def forward(self, u_slices: np.ndarray) -> np.ndarray:
         return self._sweep(u_slices, backward=False)
@@ -343,16 +324,17 @@ class HeatOperator:
 
     def _sweep(self, slices: np.ndarray, backward: bool) -> np.ndarray:
         """Take one implicit Euler step per slice, last slice first if backward."""
-        nt = slices.shape[0]
+        step, nt = self.step, slices.shape[0]
+        divisor = step.divisor
         modes = np.empty(slices.shape)
-        self._basis.change(slices, modes)
+        step.change(slices, modes)
         modes *= self.grid.tau
         order = range(nt - 1, -1, -1) if backward else range(nt)
-        modes[order[0]] /= self._decay
+        modes[order[0]] /= divisor
         for prev, m in zip(order, order[1:]):
             modes[m] += modes[prev]
-            modes[m] /= self._decay
-        self._basis.change(modes, modes)
+            modes[m] /= divisor
+        step.change(modes, modes)
         self._check_steps(slices, modes, backward)
         return modes
 
@@ -392,11 +374,6 @@ def slice_sq_norms(u: ControlField) -> np.ndarray:
     return slice_dots(grid, u.values, u.values)
 
 
-def slice_l2_norms(u: ControlField) -> np.ndarray:
-    """Spatial l2 norm of every time slice of a space-time field."""
-    return np.sqrt(slice_sq_norms(u))
-
-
 def laplacian_c_constant(grid: Grid) -> float:
     """Largest l2 response of the inverse stencil over unit-l1 node inputs.
 
@@ -405,15 +382,16 @@ def laplacian_c_constant(grid: Grid) -> float:
     S = sqrt(2h) sin(pi h j k) diagonalises the 1D stencil, so
     A = (S x S) Lambda (S x S)^T in 2D and
     c**2 = max_j diag(A**-2)_j / h**dim, a column maximum of
-    (S o S) Lambda**-2 (S o S)^T with o the entrywise product.
+    (S o S) Lambda**-2 (S o S)^T with o the entrywise product.  Lambda is
+    the divisor of ShiftedLaplacian(grid), mu_p + mu_q at (p, q) in 2D.
     """
     h = grid.h
-    basis = _SineBasis(grid)
-    mu, s2 = basis.mu, 2.0 * h * basis.sines**2
+    stencil = ShiftedLaplacian(grid)
+    s2, inv_sq = 2.0 * h * stencil.sines**2, stencil.divisor**-2.0
     if grid.dim == 1:
-        diag = s2 @ mu**-2.0
+        diag = s2 @ inv_sq
     else:
-        diag = s2 @ (mu[:, None] + mu[None, :]) ** -2.0 @ s2.T
+        diag = s2 @ inv_sq.reshape(grid.n, grid.n) @ s2.T
     return math.sqrt(float(diag.max()) / h**grid.dim)
 
 

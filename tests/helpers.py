@@ -1,10 +1,11 @@
 """What the tests need and no `gcg run` calls.
 
-The duality pairing of two fields, a random feasible control of either
-bundled instance, and the paper's scalar rate recursions: the constants
-of the improved sublinear bound and the extremal sequences of the two
-recursions behind the convergence proofs, which criterion 10 and
-test_diagnostics check those bounds on.  No module of the package imports
+The duality pairing of two fields, the slice l2 norms of a space-time
+field, a random feasible control of either bundled instance, and the
+paper's scalar rate recursions: the constants of the improved sublinear
+bound and the extremal sequences of the two recursions behind the
+convergence proofs, which criterion 10 and test_diagnostics check those
+bounds on.  No module of the package imports
 this one; test_census checks that.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from gcg.core import ControlField
 from gcg.diagnostics import _require_positive
 from gcg.elliptic import EllipticProblem
-from gcg.pde import slice_dots
+from gcg.pde import slice_dots, slice_sq_norms
 
 
 def pairing(a: ControlField, b: ControlField) -> float:
@@ -25,6 +26,11 @@ def pairing(a: ControlField, b: ControlField) -> float:
     if a.size != b.size:
         raise ValueError("fields must have equal length")
     return a.weight * float(np.dot(a.values, b.values))
+
+
+def slice_l2_norms(u: ControlField) -> np.ndarray:
+    """Spatial l2 norm of every time slice of a space-time field."""
+    return np.sqrt(slice_sq_norms(u))
 
 
 def sample_feasible(prob, rng: np.random.Generator) -> ControlField:

@@ -161,6 +161,21 @@ def test_run_stopped_at_k0_reports_no_step_taken(tmp_path, capsys):
     assert "q_env = n/a (no step taken)\n" in text
 
 
+def test_envelope_constant_that_rounds_to_zero_reads_n_a(tmp_path, capsys):
+    # gamma = 5e-324 rounds q = alpha gamma r0 / (2 L mstar**2) to 0.0, where
+    # the envelope check cannot be made; the finished run still writes its
+    # outputs and reports the check as not made
+    argv = ["run", "--problem", "parabolic-ex-1d", "--n", "4", "--nt", "3"]
+    argv += ["--gamma", "5e-324", "--max-iter", "1", "--out-dir", tmp_path]
+    assert run_cli(argv) == 0
+    assert "MaxIterReached after 1 iterations" in capsys.readouterr().out
+    for name in ("history.csv", "control.txt", "diagnostics.txt"):
+        assert (tmp_path / name).is_file()
+    text = (tmp_path / "diagnostics.txt").read_text()
+    assert "q_env = n/a (q rounds to 0.0)\n" in text
+    assert "envelope_ok" not in text and "envelope_violation" not in text
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_cli(FAST + ["--out-dir", dir_a])

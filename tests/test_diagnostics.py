@@ -1,5 +1,6 @@
 """Tests for envelope constants, rate fits, and the scalar recursions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,12 @@ from gcg.diagnostics import (
     run_report,
     select_growth_bins,
 )
-from gcg.pde import slice_l2_norms
-
-from helpers import recursion_oracle_44, recursion_oracle_48, sublinear_constants
+from helpers import (
+    recursion_oracle_44,
+    recursion_oracle_48,
+    slice_l2_norms,
+    sublinear_constants,
+)
 
 
 def test_envelope_q_hand_value():
@@ -259,6 +263,18 @@ def test_run_report_kappa_is_vacuous_only_when_every_measure_is_zero():
     prob.growth_distance = lambda p: np.full(p.size, math.inf)
     report = run_report(prob, result, 0.5, 0.99)
     assert report["kappa_hat"] == "vacuous" and report["kappa_fit_bins"] == 0
+
+
+def test_run_report_reads_n_a_where_q_rounds_to_zero():
+    # an L mstar**2 that overflows to inf rounds q to 0.0, where the envelope
+    # check cannot be made: q_env reads n/a and its two entries are dropped
+    prob = elliptic.make_example("stadler-ex1", 4)
+    result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=40))
+    report = run_report(prob, result, 0.5, 0.99)
+    assert report["q_env"] > 0.0 and report["envelope_ok"] is True
+    report = run_report(prob, dataclasses.replace(result, mstar=1e200), 0.5, 0.99)
+    assert report["q_env"] == "n/a (q rounds to 0.0)"
+    assert "envelope_ok" not in report and "envelope_violation" not in report
 
 
 @pytest.mark.parametrize(

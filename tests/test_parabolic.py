@@ -17,11 +17,10 @@ from gcg.parabolic import (
 from gcg.pde import (
     Grid,
     SpaceTimeGrid,
-    slice_l2_norms,
     slice_sq_norms,
 )
 
-from helpers import pairing, sample_feasible
+from helpers import pairing, sample_feasible, slice_l2_norms
 
 
 def tiny_problem(alpha=0.5, radius=1.0, nt=3):

@@ -23,10 +23,9 @@ from gcg.pde import (
     _SLICE_BLOCK,
     Grid,
     HeatOperator,
-    PoissonSolver,
     ResidualCheckError,
+    ShiftedLaplacian,
     SpaceTimeGrid,
-    _Stencil,
     _fixed_exponents,
     _format_values,
     check_residual,
@@ -34,12 +33,11 @@ from gcg.pde import (
     heat_c_constant,
     laplacian_c_constant,
     read_field,
-    slice_l2_norms,
     smallest_laplacian_eigenvalue,
     write_field,
 )
 
-from helpers import pairing
+from helpers import pairing, slice_l2_norms
 
 
 def l1_norm(u):
@@ -179,7 +177,7 @@ def test_operator_solver_contract():
 def test_elliptic_solve_is_self_adjoint():
     rng = np.random.default_rng(17)
     for grid in (Grid(9, 1), Grid(6, 2)):
-        solver = PoissonSolver(grid)
+        solver = ShiftedLaplacian(grid)
         for trial in range(10):
             u = grid.field(rng.standard_normal(grid.n_nodes))
             w = grid.field(rng.standard_normal(grid.n_nodes))
@@ -199,36 +197,36 @@ def test_poisson_solver_matches_sparse_solve(grid):
     rng = np.random.default_rng(grid.n + grid.dim)
     for trial in range(3):
         rhs = rng.standard_normal(grid.n_nodes)
-        got = PoissonSolver(grid).solve(rhs)
+        got = ShiftedLaplacian(grid).solve(rhs)
         want = assemble_laplacian(grid).solve(rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_poisson_check_catches_a_perturbed_solution(grid):
-    solver = PoissonSolver(grid)
+    solver = ShiftedLaplacian(grid)
     rhs = np.random.default_rng(5).standard_normal(grid.n_nodes)
     y = solver.solve(rhs)
-    check_residual(solver.stencil, y, rhs)  # the solve passes
+    check_residual(solver, y, rhs)  # the solve passes
     y[grid.n_nodes // 2] *= 1.0 + 1e-9
     with pytest.raises(ResidualCheckError, match="residual check"):
-        check_residual(solver.stencil, y, rhs)
+        check_residual(solver, y, rhs)
 
 
 def test_check_residual_names_the_first_failed_row():
     # a NaN row fails like a perturbed one, and the message names the first
     # failed row; a batch whose rows all pass raises nothing
     grid = Grid(5, 2)
-    solver = PoissonSolver(grid)
+    solver = ShiftedLaplacian(grid)
     rhs = np.random.default_rng(8).standard_normal((3, grid.n_nodes))
     y = np.array([solver.solve(r) for r in rhs])
-    check_residual(solver.stencil, y, rhs, "row {}")
+    check_residual(solver, y, rhs, "row {}")
     y[2, 7] *= 1.0 + 1e-9
     with pytest.raises(ResidualCheckError, match=r"^row 2 failed the residual check"):
-        check_residual(solver.stencil, y, rhs, "row {}")
+        check_residual(solver, y, rhs, "row {}")
     y[1, 3] = np.nan
     with pytest.raises(ResidualCheckError, match=r"^row 1 failed the residual check"):
-        check_residual(solver.stencil, y, rhs, "row {}")
+        check_residual(solver, y, rhs, "row {}")
 
 
 SMALL_GRIDS = [Grid(n, dim) for dim in (1, 2) for n in (1, 2, 3, 5)]
@@ -248,7 +246,7 @@ def test_matrix_free_stencil_matches_assembled(grid):
     rng = np.random.default_rng(grid.n + 10 * grid.dim)
     y = rng.standard_normal((4, grid.n_nodes))
     eps = np.finfo(float).eps
-    for free, assembled in ((_Stencil(grid), amat), (_Stencil(grid, 1.0, tau_a), step)):
+    for free, assembled in ((ShiftedLaplacian(grid), amat), (ShiftedLaplacian(grid, 1.0, tau_a), step)):
         assert free.norm == pytest.approx(_inf_norm(assembled), rel=4 * eps)
         for rhs in (np.zeros_like(y), rng.standard_normal(y.shape)):
             kept = y.copy()
@@ -265,7 +263,7 @@ def test_matrix_free_stencil_matches_assembled(grid):
 
 def test_poisson_solver_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        PoissonSolver(Grid(3, 1)).solve(np.ones(4))
+        ShiftedLaplacian(Grid(3, 1)).solve(np.ones(4))
 
 
 def test_heat_single_node_single_step():

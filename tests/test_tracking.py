@@ -428,3 +428,36 @@ def test_searches_keep_the_scan_along_runs(run, monkeypatch):
     assert sum(p <= 3 for p in probes) >= 0.8 * len(probes)
     if status is SolveStatus.LINE_SEARCH_FAILED:
         assert max(probes) > 3
+
+
+@pytest.mark.parametrize(
+    "build, gap_tol, searches, probes",
+    [
+        (lambda: elliptic.make_example("stadler-ex1", 64), 1e-9, 417, 1243),
+        (lambda: parabolic.make_example("parabolic-ex", 32, 500), 1e-10, 13, 53),
+    ],
+    ids=["ex1-n64", "heat-2d"],
+)
+def test_benchmark_workloads_keep_their_search_counts(build, gap_tol, searches, probes):
+    # the two benchmark workloads as `gcg run` solves them, with the line
+    # searches and phi evaluations that bench/run.py reports as
+    # core.line_searches and core.probes; a change to the step rule or to
+    # the rounding of phi moves them
+    prob = build()
+    composite = prob.composite()
+    counts = [0, 0]
+
+    def line_objective(u, v):
+        phi = composite.line_objective(u, v)
+        counts[0] += 1
+
+        def counted(s):
+            counts[1] += 1
+            return phi(s)
+
+        return counted
+
+    counted_problem = dataclasses.replace(composite, line_objective=line_objective)
+    result = gcg_solve(counted_problem, prob.zero_control(), SolverConfig(gap_tol))
+    assert result.status is SolveStatus.CONVERGED
+    assert (result.iterations, *counts) == (searches, searches, probes)
