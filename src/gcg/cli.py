@@ -29,13 +29,7 @@ from typing import get_args, get_type_hints
 
 from . import diagnostics as diag
 from . import elliptic, parabolic
-from .core import (
-    ArmijoParams,
-    OracleError,
-    SolverConfig,
-    SolveStatus,
-    gcg_solve,
-)
+from .core import OracleError, SolverConfig, SolveStatus, gcg_solve
 from .pde import ResidualCheckError, field_header, write_field
 
 
@@ -60,17 +54,18 @@ class RunConfig:
 
     The fields are the settings-file keys, with ``tol`` in the file for
     ``gap_tol``.  A setting that neither the file nor a flag gives takes
-    the default here, and a size setting the default in the problem's
-    module; a size the problem does not take stays as given and is unused.
+    the default here, which for the solver settings is SolverConfig's, and
+    a size setting the default in the problem's module; a size the problem
+    does not take stays as given and is unused.
     """
 
     problem: str
     n: int | None = None
     nt: int | None = None
-    gap_tol: float = 1e-10
-    max_iter: int = 1000
-    alpha: float = 0.5
-    gamma: float = 0.99
+    gap_tol: float = SolverConfig.gap_tol
+    max_iter: int = SolverConfig.max_iter
+    alpha: float = SolverConfig.alpha
+    gamma: float = SolverConfig.gamma
     out_dir: str = "."
     track_errors: bool = False
     diagnostics: bool = True
@@ -231,7 +226,8 @@ def run(config: RunConfig) -> int:
         solver_config = SolverConfig(
             gap_tol=config.gap_tol,
             max_iter=config.max_iter,
-            armijo=ArmijoParams(alpha=config.alpha, gamma=config.gamma),
+            alpha=config.alpha,
+            gamma=config.gamma,
         )
         module = _REGISTRY[config.problem]
         args = (config.problem, *(getattr(config, key) for key in module.SIZES))
@@ -259,7 +255,7 @@ def run(config: RunConfig) -> int:
             solver_config = replace(solver_config, callback=record_errors)
         result = gcg_solve(composite, u0, solver_config)
         if config.diagnostics:
-            report = diag.run_report(prob, result, config.alpha, config.gamma)
+            report = diag.run_report(prob, result)
     except (OracleError, ResidualCheckError, ValueError) as exc:
         print(f"gcg: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -159,34 +159,27 @@ class CompositeProblem:
 
 
 @dataclass(frozen=True)
-class ArmijoParams:
-    """Backtracking parameters: sufficient-decrease fraction and mesh ratio."""
+class SolverConfig:
+    """Termination, step rule and instrumentation settings for gcg_solve.
 
+    alpha is the sufficient-decrease fraction and gamma the mesh ratio of
+    the backtracking test.  callback(record, u, v) sees each history row as
+    it is recorded, with the iterate u and oracle point v of that row; a
+    caller that wants more per-row figures, such as errors against a
+    reference, takes them there.
+    """
+
+    gap_tol: float = 1e-10
+    max_iter: int = 1000
     alpha: float = 0.5
     gamma: float = 0.99
+    callback: Optional[Callable[["IterateRecord", ControlField, ControlField], None]] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 1/2]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Termination and instrumentation settings for gcg_solve.
-
-    callback(record, u, v) sees each history row as it is recorded, with
-    the iterate u and oracle point v of that row; a caller that wants more
-    per-row figures, such as errors against a reference, takes them there.
-    """
-
-    gap_tol: float = 1e-10
-    max_iter: int = 1000
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    callback: Optional[Callable[["IterateRecord", ControlField, ControlField], None]] = None
-
-    def __post_init__(self):
         if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0.0):
             raise ValueError("gap_tol must be finite and nonnegative")
         if self.max_iter < 1:
@@ -222,7 +215,8 @@ class SolveResult:
 
     mstar is the largest dual norm of any iterate or oracle point seen during
     the run; eps_fp is the floating point slack 1e-12 * (|j(u0)| + 1) used in
-    the run's nonnegativity clamps.
+    the run's nonnegativity clamps; config is the SolverConfig the run used,
+    so its step rule travels with its history.
     """
 
     final_iterate: ControlField
@@ -231,6 +225,7 @@ class SolveResult:
     status: SolveStatus
     mstar: float
     eps_fp: float
+    config: SolverConfig
 
     @property
     def iterations(self) -> int:
@@ -281,13 +276,13 @@ def _segment_objective(
 
 
 def armijo_step(
-    phi: Callable[[float], float], j_u: float, gap: float, params: ArmijoParams
+    phi: Callable[[float], float], j_u: float, gap: float, config: SolverConfig
 ) -> tuple[float, int]:
     """Smallest n with alpha * gamma**n * gap <= phi(0) - phi(gamma**n).
 
     phi is s -> j(u + s (v - u)) along one segment and j_u = phi(0), which
-    the caller already has.  Returns (step, n) with step = gamma**n.
-    Requires gap > 0.
+    the caller already has; alpha and gamma are config's.  Returns
+    (step, n) with step = gamma**n.  Requires gap > 0.
 
     An upward scan from n = 0 would stop at the first n where the test
     passes or where the decrease target alpha * gamma**n * gap underflows
@@ -321,7 +316,7 @@ def armijo_step(
     """
     if not math.isfinite(gap) or gap <= 0.0:
         raise ValueError("armijo_step requires a positive finite gap")
-    alpha, gamma = params.alpha, params.gamma
+    alpha, gamma = config.alpha, config.gamma
 
     def stops_at(n: int) -> tuple[bool, bool]:
         """Whether the scan stops at n, and whether the test passes there."""
@@ -435,7 +430,7 @@ def gcg_solve(
         else:
             try:
                 phi = _segment_objective(problem, u, v)
-                step, n_back = armijo_step(phi, j_u, gap, config.armijo)
+                step, n_back = armijo_step(phi, j_u, gap, config)
                 status = None
             except LineSearchError as exc:
                 n_back = exc.exponent
@@ -454,7 +449,7 @@ def gcg_solve(
         if config.callback is not None:
             config.callback(record, u, v)
         if status is not None:
-            return SolveResult(u, grad, tuple(history), status, mstar, eps_fp)
+            return SolveResult(u, grad, tuple(history), status, mstar, eps_fp, config)
 
         u = advance(u, v, step)
         fresh = problem.step is None

@@ -184,11 +184,11 @@ def fit_kappa(epsilons, measures) -> float | None:
     return float(slope)
 
 
-def run_report(prob, result, alpha: float, gamma: float) -> dict[str, object]:
+def run_report(prob, result) -> dict[str, object]:
     """Every check of one finished solve, as the ordered entries of diagnostics.txt.
 
-    ``result`` is the SolveResult of ``prob`` under backtracking parameters
-    ``alpha`` and ``gamma``.  A check that cannot be made reads
+    ``result`` is the SolveResult of ``prob``; the envelope reads alpha and
+    gamma from the config it ran with.  A check that cannot be made reads
     ``"n/a (reason)"`` and drops the entries that follow from it.
     ``envelope_violation`` is None when the envelope holds, and ``kappa_hat``
     reads ``"vacuous"`` only when every sampled level-set measure is zero.
@@ -207,6 +207,7 @@ def run_report(prob, result, alpha: float, gamma: float) -> dict[str, object]:
     residuals = residuals_from_history(history, history[-1].j_value)
     r0 = float(residuals[0])
     if r0 > 0.0:
+        alpha, gamma = result.config.alpha, result.config.gamma
         q_env = envelope_q(r0, alpha, gamma, prob.lipschitz_estimate, result.mstar)
         if q_env > 0.0:
             ok, violation = check_envelope(residuals, q_env, result.eps_fp)

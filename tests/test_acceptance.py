@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from gcg import cli, diagnostics as diag, elliptic, parabolic
-from gcg.core import (
-    ArmijoParams,
-    SolverConfig,
-    SolveStatus,
-    gcg_solve,
-)
+from gcg.core import SolverConfig, SolveStatus, gcg_solve
 from gcg.pde import (
     Grid,
     HeatOperator,
@@ -54,7 +49,6 @@ def solve_with_replay(prob, gap_tol, max_iter):
     The run's report is the one `gcg run` writes to diagnostics.txt.
     """
     composite = prob.composite()
-    armijo = ArmijoParams(alpha=ALPHA, gamma=GAMMA)
     checks = {"steps": 0, "hold_fail": 0, "minimal_fail": 0}
 
     def callback(record, u, v):
@@ -72,7 +66,7 @@ def solve_with_replay(prob, gap_tol, max_iter):
                 checks["minimal_fail"] += 1
 
     config = SolverConfig(
-        gap_tol=gap_tol, max_iter=max_iter, armijo=armijo, callback=callback
+        gap_tol=gap_tol, max_iter=max_iter, alpha=ALPHA, gamma=GAMMA, callback=callback
     )
     started = time.perf_counter()
     result = gcg_solve(composite, prob.zero_control(), config)
@@ -80,7 +74,7 @@ def solve_with_replay(prob, gap_tol, max_iter):
     return SimpleNamespace(
         prob=prob,
         result=result,
-        report=diag.run_report(prob, result, ALPHA, GAMMA),
+        report=diag.run_report(prob, result),
         armijo_checks=checks,
         elapsed=elapsed,
     )

@@ -84,7 +84,7 @@ def test_run_writes_all_outputs(tmp_path, capsys, argv, structure_keys, build):
     # the file is the run report of the same solve, in order, floats by repr
     prob = build()
     result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=40))
-    expected = diagnostics.run_report(prob, result, 0.5, 0.99)
+    expected = diagnostics.run_report(prob, result)
     assert list(values) == list(expected)
     floats = {k: v for k, v in expected.items() if isinstance(v, float)}
     assert "L_est" in floats and all(values[k] == repr(v) for k, v in floats.items())
@@ -249,6 +249,15 @@ def test_bad_solver_settings_exit_one(tmp_path, capsys, key, value):
         assert run_cli(base + source) == 1
         err = capsys.readouterr().err
         assert err.startswith("gcg: error: ") and "Traceback" not in err
+    assert not (tmp_path / "history.csv").exists()
+
+
+def test_step_rule_is_checked_before_the_gap_tolerance(tmp_path, capsys):
+    # SolverConfig checks alpha and gamma first, so of two bad settings the
+    # alpha error is the one line printed
+    argv = ["run", "--problem", "stadler-ex1", "--tol", "-1", "--alpha", "0.7"]
+    assert run_cli(argv + ["--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == "gcg: error: alpha must lie in (0, 1/2]\n"
     assert not (tmp_path / "history.csv").exists()
 
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gcg.core import (
-    ArmijoParams,
     CompositeProblem,
     ControlField,
     LineSearchError,
@@ -157,7 +156,7 @@ def test_armijo_full_step():
     # condition 2s <= 4s - 2s^2 holds for every s <= 1, so n = 0
     prob = scalar_problem(1.0)
     phi = segment_phi(prob, field(-1.0), field(1.0))
-    step, n = armijo_step(phi, 2.0, 4.0, ArmijoParams(0.5, 0.5))
+    step, n = armijo_step(phi, 2.0, 4.0, SolverConfig(alpha=0.5, gamma=0.5))
     assert (step, n) == (1.0, 0)
     assert phi(step) == 0.0
 
@@ -165,7 +164,7 @@ def test_armijo_full_step():
 def test_armijo_one_backtrack():
     # f(u) = u^2/2 at u=1 towards v=-1: condition s <= 2s - 2s^2 iff s <= 1/2
     phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
-    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.5))
+    step, n = armijo_step(phi, 0.5, 2.0, SolverConfig(alpha=0.5, gamma=0.5))
     assert (step, n) == (0.5, 1)
 
 
@@ -249,7 +248,7 @@ def assert_keeps_contract(phi, j_u, gap, params):
 def test_armijo_gamma_099_takes_69_trials():
     probes = []
     phi = counting(segment_phi(scalar_problem(0.0), field(1.0), field(-1.0)), probes)
-    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.99))
+    step, n = armijo_step(phi, 0.5, 2.0, SolverConfig(alpha=0.5, gamma=0.99))
     assert n == 69 == math.ceil(math.log(0.5) / math.log(0.99))
     assert step == 0.99**69
     # a scan from n = 0 would make 70 probes; the curvature c = 4 of this
@@ -263,7 +262,8 @@ def test_search_on_a_bare_callable():
     # s, with no field and no problem, gives the same step and probes
     probes = []
     phi = counting(lambda s: 0.5 * (1.0 - 2.0 * s) ** 2, probes)
-    assert armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, 0.99)) == (0.99**69, 69)
+    config = SolverConfig(alpha=0.5, gamma=0.99)
+    assert armijo_step(phi, 0.5, 2.0, config) == (0.99**69, 69)
     assert probes == [1.0, 0.99**69, 0.99**68]
 
 
@@ -277,7 +277,7 @@ def test_start_that_fails_by_rounding_falls_back_to_the_gallop():
     assert (1.0 - alpha) == gamma and Fraction(1) - Fraction(alpha) < Fraction(gamma)
     probes = []
     phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
-    params = ArmijoParams(alpha, gamma)
+    params = SolverConfig(alpha=alpha, gamma=gamma)
     j_u = 0.5
     assert not alpha * gamma * 2.0 <= j_u - phi(gamma)
     got = armijo_step(counting(phi, probes), j_u, 2.0, params)
@@ -302,7 +302,7 @@ def test_start_that_overshoots_walks_down_by_doubling():
 
     j_u, grad = smooth(u)
     gap = pairing(grad, u.diff(v))
-    params = ArmijoParams(0.5, 0.99)
+    params = SolverConfig(alpha=0.5, gamma=0.99)
     probes = []
     got = armijo_step(counting(phi, probes), j_u, gap, params)
     assert got == scan_armijo_step(phi, j_u, gap, params) == (0.99**232, 232)
@@ -321,7 +321,7 @@ def test_start_without_a_usable_curvature_gallops(j_v):
     def phi(s):
         return j_v if s == 1.0 else -0.5 * s * 1e-300
 
-    params = ArmijoParams(0.5, 0.5)
+    params = SolverConfig(alpha=0.5, gamma=0.5)
     assert search_outcome(armijo_step, phi, 0.0, 1e-300, params) == (
         search_outcome(scan_armijo_step, phi, 0.0, 1e-300, params)
     )
@@ -330,7 +330,7 @@ def test_start_without_a_usable_curvature_gallops(j_v):
 def test_armijo_requires_positive_gap():
     phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
     with pytest.raises(ValueError):
-        armijo_step(phi, 0.5, 0.0, ArmijoParams())
+        armijo_step(phi, 0.5, 0.0, SolverConfig())
 
 
 def test_armijo_step_underflow_raises():
@@ -343,7 +343,7 @@ def test_armijo_step_underflow_raises():
     u = field(0.5)
     phi = counting(segment_phi(scalar_problem(0.0), u, u), probes)
     with pytest.raises(LineSearchError) as raised:
-        armijo_step(phi, 0.125, 1.0, ArmijoParams(0.5, 0.5))
+        armijo_step(phi, 0.125, 1.0, SolverConfig(alpha=0.5, gamma=0.5))
     assert raised.value.exponent == 1074
     # the target 0.5 * 0.5**n first underflows at n = 1074; a scan probes
     # every n below that
@@ -356,7 +356,7 @@ def test_gamma_near_one_reaches_short_steps():
     # near 6.9e6, far past any fixed budget of a few thousand
     gamma = 0.9999999
     phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
-    step, n = armijo_step(phi, 0.5, 2.0, ArmijoParams(0.5, gamma))
+    step, n = armijo_step(phi, 0.5, 2.0, SolverConfig(alpha=0.5, gamma=gamma))
     assert step == gamma**n and 6_000_000 < n < 8_000_000
     assert 0.5 * step * 2.0 <= phi(0.0) - phi(step)
     assert 0.5 * gamma ** (n - 1) * 2.0 > phi(0.0) - phi(gamma ** (n - 1))
@@ -372,7 +372,7 @@ def test_failed_search_records_where_it_stopped():
         return f, grad.with_values(-grad.values)
 
     wrong = dataclasses.replace(prob, smooth_eval=wrong_sign)
-    config = SolverConfig(armijo=ArmijoParams(0.5, 0.5))
+    config = SolverConfig(alpha=0.5, gamma=0.5)
     result = gcg_solve(wrong, field(0.5), config)
     assert result.status is SolveStatus.LINE_SEARCH_FAILED
     (record,) = result.history
@@ -383,11 +383,12 @@ def test_failed_search_records_where_it_stopped():
 
 def test_armijo_matches_scan_on_edge_cases():
     full = segment_phi(scalar_problem(1.0), field(-1.0), field(1.0))
-    assert assert_matches_scan(full, full(0.0), 4.0, ArmijoParams(0.5, 0.5)) == (1.0, 0)
+    halving = SolverConfig(alpha=0.5, gamma=0.5)
+    assert assert_matches_scan(full, full(0.0), 4.0, halving) == (1.0, 0)
     # f = u^2/2 from u = 1 towards v = -7 with gap 8: the test reads
     # 4s <= 8s - 32s^2, which holds with equality at s = 1/8 = 0.5**3
     wide = segment_phi(scalar_problem(0.0, lower=-8.0), field(1.0), field(-7.0))
-    tie = assert_matches_scan(wide, wide(0.0), 8.0, ArmijoParams(0.5, 0.5))
+    tie = assert_matches_scan(wide, wide(0.0), 8.0, halving)
     assert tie == (0.125, 3)
     assert 0.5 * 0.125 * 8.0 == 0.5 - wide(0.125)  # j(u) = 0.5
     # f = |w|^2 / 2 from u = e_4 towards v = -e_4 with gap 2: the test passes
@@ -399,7 +400,7 @@ def test_armijo_matches_scan_on_edge_cases():
         w = e4.blend(e4.with_values(-e4.values), s).values
         return 0.5 * float(w @ w)
 
-    params = ArmijoParams(0.5, 1e-10)
+    params = SolverConfig(alpha=0.5, gamma=1e-10)
     rounded = assert_matches_scan(quad, quad(0.0), 2.0, params)
     assert rounded[:2] == (1e-10, 1)
     # where phi(1) gives no curvature the search gallops from n = 0, and it
@@ -416,7 +417,7 @@ def test_armijo_matches_scan_on_edge_cases():
     # underflows, as the armijo_step docstring allows below that level
     eps = float(np.finfo(float).eps)
     phi = segment_phi(scalar_problem(0.0), field(1.0), field(-1.0))
-    params = ArmijoParams(0.5, eps)
+    params = SolverConfig(alpha=0.5, gamma=eps)
     assert scan_armijo_step(phi, phi(0.0), 2.0, params) == (eps, 1)
     assert phi(eps) == 0.5 - 2.0 * eps
     with pytest.raises(LineSearchError) as raised:
@@ -425,7 +426,7 @@ def test_armijo_matches_scan_on_edge_cases():
     assert_keeps_contract(phi, phi(0.0), 2.0, params)
     # u == v: no decrease at any step, so the target underflows and both raise
     same = segment_phi(scalar_problem(0.0), field(0.5), field(0.5))
-    assert assert_matches_scan(same, same(0.0), 1.0, ArmijoParams(0.5, 0.5)) is LineSearchError
+    assert assert_matches_scan(same, same(0.0), 1.0, halving) is LineSearchError
 
 
 @st.composite
@@ -485,7 +486,7 @@ def test_armijo_matches_linear_scan(segment, alpha, gamma):
     phi, gap = segment
     assume(math.isfinite(gap) and gap > 0.0)
     j_u = phi(0.0)
-    params = ArmijoParams(alpha, gamma)
+    params = SolverConfig(alpha=alpha, gamma=gamma)
     tests = list(itertools.islice(scan_tests(phi, j_u, gap, params), SCAN_CAP + 1))
     passes = [passed for _, _, passed in tests]
     first = passes.index(True) if True in passes else len(passes)
@@ -504,11 +505,11 @@ def test_armijo_matches_linear_scan(segment, alpha, gamma):
         assert_keeps_contract(phi, j_u, gap, params)
 
 
-def test_armijo_params_validation():
-    with pytest.raises(ValueError):
-        ArmijoParams(alpha=0.6)
-    with pytest.raises(ValueError):
-        ArmijoParams(gamma=1.0)
+def test_solver_config_validates_the_step_rule():
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1/2\]$"):
+        SolverConfig(alpha=0.6)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\)$"):
+        SolverConfig(gamma=1.0)
 
 
 def test_solver_config_validation():
@@ -522,7 +523,7 @@ def test_solver_config_validation():
 def test_one_step_convergence():
     prob = scalar_problem(1.0)
     result = gcg_solve(
-        prob, field(-1.0), SolverConfig(armijo=ArmijoParams(0.5, 0.5))
+        prob, field(-1.0), SolverConfig(alpha=0.5, gamma=0.5)
     )
     assert result.status is SolveStatus.CONVERGED
     assert len(result.history) == 2
@@ -565,14 +566,14 @@ def test_history_keeps_terminal_record_at_iteration_cap():
 def test_monotone_descent_and_gap_domination():
     """j decreases strictly and the gap certificate dominates the residual."""
     rng = np.random.default_rng(11)
-    fast = ArmijoParams(0.5, 0.7)
+    fast = dict(alpha=0.5, gamma=0.7)
     for trial in range(8):
         prob, zero = boxed_l1_problem(rng, int(rng.integers(2, 9)))
         tight = gcg_solve(
-            prob, zero, SolverConfig(gap_tol=1e-8, max_iter=1200, armijo=fast)
+            prob, zero, SolverConfig(gap_tol=1e-8, max_iter=1200, **fast)
         )
         result = gcg_solve(
-            prob, zero, SolverConfig(gap_tol=1e-6, max_iter=800, armijo=fast)
+            prob, zero, SolverConfig(gap_tol=1e-6, max_iter=800, **fast)
         )
         j_ref = tight.history[-1].j_value
         eps = result.eps_fp
@@ -587,14 +588,14 @@ def test_descent_recursion_bound():
     """Each step removes at least the alpha * s fraction of the residual."""
     rng = np.random.default_rng(29)
     alpha = 0.5
-    fast = ArmijoParams(alpha, 0.7)
+    fast = dict(alpha=alpha, gamma=0.7)
     for trial in range(8):
         prob, zero = boxed_l1_problem(rng, int(rng.integers(2, 9)))
         tight = gcg_solve(
-            prob, zero, SolverConfig(gap_tol=1e-8, max_iter=1200, armijo=fast)
+            prob, zero, SolverConfig(gap_tol=1e-8, max_iter=1200, **fast)
         )
         result = gcg_solve(
-            prob, zero, SolverConfig(gap_tol=1e-6, max_iter=800, armijo=fast)
+            prob, zero, SolverConfig(gap_tol=1e-6, max_iter=800, **fast)
         )
         j_ref = tight.history[-1].j_value
         eps = result.eps_fp
@@ -617,7 +618,8 @@ def test_armijo_minimality_along_runs():
         config = SolverConfig(
             gap_tol=1e-10,
             max_iter=500,
-            armijo=ArmijoParams(alpha, gamma),
+            alpha=alpha,
+            gamma=gamma,
             callback=lambda rec, u, v: probes.append((rec, u, v)),
         )
         gcg_solve(prob, zero, config)
@@ -636,9 +638,9 @@ def test_armijo_minimality_along_runs():
 def test_bitwise_determinism():
     rng = np.random.default_rng(101)
     prob, zero = boxed_l1_problem(rng, 7)
-    fast = ArmijoParams(0.5, 0.7)
-    a = gcg_solve(prob, zero, SolverConfig(gap_tol=1e-12, max_iter=1000, armijo=fast))
-    b = gcg_solve(prob, zero, SolverConfig(gap_tol=1e-12, max_iter=1000, armijo=fast))
+    fast = dict(alpha=0.5, gamma=0.7)
+    a = gcg_solve(prob, zero, SolverConfig(gap_tol=1e-12, max_iter=1000, **fast))
+    b = gcg_solve(prob, zero, SolverConfig(gap_tol=1e-12, max_iter=1000, **fast))
     assert len(a.history) == len(b.history)
     for ra, rb in zip(a.history, b.history):
         assert ra == rb
@@ -653,7 +655,8 @@ def test_mstar_covers_iterates_and_oracle_points():
     config = SolverConfig(
         gap_tol=1e-12,
         max_iter=500,
-        armijo=ArmijoParams(0.5, 0.7),
+        alpha=0.5,
+        gamma=0.7,
         callback=lambda rec, u, v: norms.extend(
             [prob.dual_norm(u), prob.dual_norm(v)]
         ),
@@ -666,9 +669,9 @@ def test_error_recording_against_reference():
     # errors against a reference, taken by the callback
     rng = np.random.default_rng(83)
     prob, zero = boxed_l1_problem(rng, 5)
-    fast = ArmijoParams(0.5, 0.7)
+    fast = dict(alpha=0.5, gamma=0.7)
     tight = gcg_solve(
-        prob, zero, SolverConfig(gap_tol=1e-13, max_iter=2000, armijo=fast)
+        prob, zero, SolverConfig(gap_tol=1e-13, max_iter=2000, **fast)
     )
     ref = tight.final_iterate
     errors = {}
@@ -676,7 +679,7 @@ def test_error_recording_against_reference():
     def record_errors(rec, u, v):
         errors[rec.k] = (prob.dual_norm(u.diff(ref)), prob.dual_norm(v.diff(ref)))
 
-    config = SolverConfig(gap_tol=1e-10, max_iter=500, armijo=fast)
+    config = SolverConfig(gap_tol=1e-10, max_iter=500, **fast)
     result = gcg_solve(prob, zero, dataclasses.replace(config, callback=record_errors))
     # one entry per row, and the callback leaves the run as it is
     assert sorted(errors) == [rec.k for rec in result.history]

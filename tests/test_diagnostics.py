@@ -259,9 +259,9 @@ def test_fit_kappa_vacuous_and_undersampled():
 def test_run_report_kappa_is_vacuous_only_when_every_measure_is_zero():
     prob = elliptic.make_example("stadler-ex1", 4)
     result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=40))
-    assert run_report(prob, result, 0.5, 0.99)["kappa_hat"] != "vacuous"
+    assert run_report(prob, result)["kappa_hat"] != "vacuous"
     prob.growth_distance = lambda p: np.full(p.size, math.inf)
-    report = run_report(prob, result, 0.5, 0.99)
+    report = run_report(prob, result)
     assert report["kappa_hat"] == "vacuous" and report["kappa_fit_bins"] == 0
 
 
@@ -270,11 +270,26 @@ def test_run_report_reads_n_a_where_q_rounds_to_zero():
     # check cannot be made: q_env reads n/a and its two entries are dropped
     prob = elliptic.make_example("stadler-ex1", 4)
     result = gcg_solve(prob.composite(), prob.zero_control(), SolverConfig(max_iter=40))
-    report = run_report(prob, result, 0.5, 0.99)
+    report = run_report(prob, result)
     assert report["q_env"] > 0.0 and report["envelope_ok"] is True
-    report = run_report(prob, dataclasses.replace(result, mstar=1e200), 0.5, 0.99)
+    report = run_report(prob, dataclasses.replace(result, mstar=1e200))
     assert report["q_env"] == "n/a (q rounds to 0.0)"
     assert "envelope_ok" not in report and "envelope_violation" not in report
+
+
+def test_run_report_prices_the_envelope_with_the_step_rule_of_its_solve():
+    # the report reads alpha and gamma from the config the solve ran with,
+    # so a non-default rule reaches q_env, and the default rule gives another q
+    prob = elliptic.make_example("stadler-ex1", 4)
+    config = SolverConfig(max_iter=40, alpha=0.3, gamma=0.9)
+    result = gcg_solve(prob.composite(), prob.zero_control(), config)
+    assert result.config is config
+    r0 = result.history[0].j_value - result.history[-1].j_value
+    L_est, mstar = prob.lipschitz_estimate, result.mstar
+    q_env = run_report(prob, result)["q_env"]
+    assert q_env == envelope_q(r0, 0.3, 0.9, L_est, mstar)
+    default = run_report(prob, dataclasses.replace(result, config=SolverConfig()))
+    assert default["q_env"] == envelope_q(r0, 0.5, 0.99, L_est, mstar) != q_env
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ import pytest
 
 from gcg import core, elliptic, parabolic
 from gcg.core import (
-    ArmijoParams,
     LineSearchError,
     SolverConfig,
     SolveStatus,
@@ -158,7 +157,7 @@ def test_final_row_comes_from_a_fresh_evaluation(stop):
     assert np.array_equal(result.final_gradient.values, p.values)
     if status is SolveStatus.LINE_SEARCH_FAILED:
         with pytest.raises(LineSearchError) as failed:
-            armijo_step(fresh.line_objective(u, v), last.j_value, gap, ArmijoParams())
+            armijo_step(fresh.line_objective(u, v), last.j_value, gap, config)
         assert failed.value.exponent == last.backtracks
 
 
