@@ -52,11 +52,11 @@ class UsageError(Exception):
 class RunConfig:
     """Fully resolved settings for one solver invocation.
 
-    The fields are the settings-file keys, with ``tol`` in the file for
-    ``gap_tol``.  A setting that neither the file nor a flag gives takes
-    the default here, which for the solver settings is SolverConfig's, and
-    a size setting the default in the problem's module; a size the problem
-    does not take stays as given and is unused.
+    The fields but ``problem``, a flag only, are the settings-file keys,
+    with ``tol`` in the file for ``gap_tol``.  A setting that neither file
+    nor flag gives takes the default here, SolverConfig's for the solver
+    settings and the problem module's for a size; a size the problem does
+    not take stays as given and is unused.
     """
 
     problem: str
@@ -131,10 +131,11 @@ def _value_type(hint) -> type:
 
 
 _HINTS = get_type_hints(RunConfig)
-# settings-file key -> (RunConfig field, value type)
+# settings-file key -> (RunConfig field, value type); the problem is a flag only
 _SETTINGS = {
     _FILE_KEYS.get(f.name, f.name): (f.name, _value_type(_HINTS[f.name]))
     for f in fields(RunConfig)
+    if f.name != "problem"
 }
 
 
@@ -264,7 +265,7 @@ def run(config: RunConfig) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_history_csv(out_dir / "history.csv", result.history, errors)
-        write_field(out_dir / "control.txt", result.final_iterate)
+        write_field(out_dir / "control.txt", prob.grid, result.final_iterate)
         if config.diagnostics:
             text = "".join(f"{k} = {_report_text(v)}\n" for k, v in report.items())
             (out_dir / "diagnostics.txt").write_text(text, newline="\n")

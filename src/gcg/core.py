@@ -43,7 +43,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,14 +76,13 @@ class ControlField:
     ``weight`` is the weight of every node in each integral-like sum, a
     Python float, so the duality pairing of two fields is
     weight * dot(a, b).  Both bundled grids use uniform midpoint weights:
-    h**dim in space and tau * h**dim in space-time.  ``meta`` carries an
-    opaque grid descriptor used by grid-aware operations (time slicing,
-    file headers); plain vector tests can leave it as None.
+    h**dim in space and tau * h**dim in space-time.  A field holds no
+    grid: what needs one (time slicing, file headers) takes it from the
+    problem.
     """
 
     values: np.ndarray
     weight: float
-    meta: Any = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -114,7 +113,6 @@ class ControlField:
         field = object.__new__(ControlField)
         object.__setattr__(field, "values", values)
         object.__setattr__(field, "weight", self.weight)
-        object.__setattr__(field, "meta", self.meta)
         return field
 
     def blend(self, other: "ControlField", step: float) -> "ControlField":

@@ -79,12 +79,12 @@ class ParabolicProblem(TrackingProblem):
     _sq_norm_memo = ()
 
     def _sq_norms(self, u: ControlField) -> np.ndarray:
-        """slice_sq_norms(u), kept for the last two fields seen (u and v of
+        """slice_sq_norms of u, kept for the last two fields seen (u and v of
         one iteration), keyed by identity; it holds its fields weakly."""
         for ref, value in self._sq_norm_memo:
             if ref() is u:
                 return value
-        value = slice_sq_norms(u)
+        value = slice_sq_norms(self.grid, u.values)
         self._sq_norm_memo = ((weakref.ref(u), value),) + self._sq_norm_memo[:1]
         return value
 

@@ -6,8 +6,8 @@ nodes sit at multiples of h = 1/(n+1); the Laplacian is the standard
 3-point (1D) or 5-point (2D) stencil divided by h**2, and integrals use
 the composite midpoint rule: one weight per grid, h**dim in space and
 tau h**dim in space-time, so every weighted sum is that weight times a
-plain sum or dot product.  The norms here are the per-slice ones the
-parabolic penalty uses: slice_dots and slice_sq_norms.
+plain sum or dot product.  A field holds no grid, so slice_sq_norms,
+field_header and write_field take the problem's grid as an argument.
 Time stepping is implicit Euler on a uniform mesh of nt steps; the adjoint
 stepper is the exact transpose of the forward map in the space-time inner
 product, so discrete adjoint identities hold to rounding.
@@ -112,7 +112,7 @@ class Grid:
         return x1.ravel(), x2.ravel()
 
     def field(self, values) -> ControlField:
-        return ControlField(np.asarray(values, dtype=float), self.weight, self)
+        return ControlField(np.asarray(values, dtype=float), self.weight)
 
     def zero_field(self) -> ControlField:
         return self.field(np.zeros(self.n_nodes))
@@ -158,7 +158,7 @@ class SpaceTimeGrid:
 
     def field(self, values) -> ControlField:
         flat = np.asarray(values, dtype=float).ravel()
-        return ControlField(flat, self.weight, self)
+        return ControlField(flat, self.weight)
 
     def zero_field(self) -> ControlField:
         return self.field(np.zeros(self.n_nodes))
@@ -365,13 +365,10 @@ def slice_dots(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return grid.space.weight * prods
 
 
-def slice_sq_norms(u: ControlField) -> np.ndarray:
-    """Squared spatial l2 norm of every time slice of a space-time field:
+def slice_sq_norms(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
+    """Squared spatial l2 norm of every time slice of values on grid:
     h**dim times the slice's dot with itself, by slice_dots."""
-    grid = u.meta
-    if not isinstance(grid, SpaceTimeGrid):
-        raise ValueError("slice norms need a field on a SpaceTimeGrid")
-    return slice_dots(grid, u.values, u.values)
+    return slice_dots(grid, values, values)
 
 
 def laplacian_c_constant(grid: Grid) -> float:
@@ -410,22 +407,20 @@ def heat_c_constant(grid: SpaceTimeGrid, conductivity: float) -> float:
     return math.sqrt(grid.tau * total)
 
 
-def field_header(meta) -> str:
-    """Header line of a field dump on a Grid or SpaceTimeGrid.
+def field_header(grid) -> str:
+    """Header line of a field dump on grid, a Grid or SpaceTimeGrid.
 
     Spatial grids get "nx ny h" (ny = 1 in 1D); space-time grids get
     "nx ny nt h tau".  A 2D grid with n = 1 is refused with ValueError:
     its header "1 1 h" would read back as 1D.
     """
-    space = meta.space if isinstance(meta, SpaceTimeGrid) else meta
-    if space is None:
-        raise ValueError("field has no grid descriptor to write a header from")
+    space = grid.space if isinstance(grid, SpaceTimeGrid) else grid
     if space.dim == 2 and space.n == 1:
         raise ValueError("a 2D grid with n = 1 has no unambiguous field header")
     ny = space.n if space.dim == 2 else 1
-    if space is meta:
+    if space is grid:
         return f"{space.n} {ny} {space.h:.17g}"
-    return f"{space.n} {ny} {meta.nt} {space.h:.17g} {meta.tau:.17g}"
+    return f"{space.n} {ny} {grid.nt} {space.h:.17g} {grid.tau:.17g}"
 
 
 def _split(x):
@@ -537,8 +532,8 @@ def _format_values(values: np.ndarray) -> str:
     return text
 
 
-def write_field(path, u: ControlField) -> None:
-    """Write a field as a text dump: field_header, then one value per line.
+def write_field(path, grid, u: ControlField) -> None:
+    """Write u as a text dump: field_header(grid), then one value per line.
 
     Values are printed row-major with 17 significant digits, enough to
     round-trip float64 exactly: the bytes of "%.17g\n" % x for each value x,
@@ -556,7 +551,7 @@ def write_field(path, u: ControlField) -> None:
     few values next to a power of ten whose exponent log10 leaves in
     doubt) is left to CPython's "%.17g" through one % per chunk.
     """
-    header = field_header(u.meta)
+    header = field_header(grid)
     values = u.values
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -569,7 +564,8 @@ def write_field(path, u: ControlField) -> None:
 
 
 def read_field(path) -> ControlField:
-    """Read a field written by write_field, reconstructing its grid."""
+    """Read a field written by write_field, with the weight of the grid its
+    header describes."""
     with open(path) as fh:
         tokens = fh.readline().split()
         values = np.array([float(line) for line in fh if line.strip()])

@@ -28,9 +28,9 @@ def pairing(a: ControlField, b: ControlField) -> float:
     return a.weight * float(np.dot(a.values, b.values))
 
 
-def slice_l2_norms(u: ControlField) -> np.ndarray:
-    """Spatial l2 norm of every time slice of a space-time field."""
-    return np.sqrt(slice_sq_norms(u))
+def slice_l2_norms(grid, u: ControlField) -> np.ndarray:
+    """Spatial l2 norm of every time slice of a field on a space-time grid."""
+    return np.sqrt(slice_sq_norms(grid, u.values))
 
 
 def sample_feasible(prob, rng: np.random.Generator) -> ControlField:

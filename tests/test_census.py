@@ -138,3 +138,16 @@ def test_no_module_of_the_package_imports_the_test_helpers():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("helpers", "tests"), (path.name, name)
+
+
+def test_the_solver_core_imports_no_module_of_the_package():
+    # gcg.core states the method on fields alone, free of grids and instances
+    for node in ast.walk(ast.parse((PACKAGE / "core.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["gcg" if node.level else node.module]  # "from . import" too
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "gcg", name

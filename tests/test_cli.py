@@ -506,7 +506,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "settings.cfg"
     cfg.write_text(
         "# solver settings\n"
-        "problem = parabolic-ex-1d\n"
         "n = 16   # grid nodes\n"
         "max_iter = 77\n"
         "tol = 1e-8\n"
@@ -533,6 +532,16 @@ def test_config_file_rejects_bad_content(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown setting" in capsys.readouterr().err
+
+    # the problem is a flag only; a file that names one is refused, not
+    # silently overridden by --problem
+    named = tmp_path / "named.cfg"
+    named.write_text("n = 8\nproblem = parabolic-ex-1d\n")
+    code = run_cli(["run", "--problem", "stadler-ex1", "--config", named])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"gcg: error: {named}:2: unknown setting 'problem'\n"
+    )
 
     bad_value = tmp_path / "bad_value.cfg"
     bad_value.write_text("max_iter = soon\n")

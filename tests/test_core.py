@@ -94,14 +94,14 @@ def test_pairing_is_mass_weighted():
 
 
 def test_derived_fields_share_mass_and_check_values():
-    u = ControlField(np.array([1.0, -2.0, 0.25]), 0.5, meta="grid")
+    u = ControlField(np.array([1.0, -2.0, 0.25]), 0.5)
     v = ControlField(np.array([0.0, 4.0, -1.0]), 0.5)
     for w, expected in (
         (u.with_values([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0]),
         (u.blend(v, 0.25), u.values + 0.25 * (v.values - u.values)),
         (u.diff(v), u.values - v.values),
     ):
-        assert w.weight is u.weight and w.meta == "grid"
+        assert w.weight is u.weight and w.size == u.size
         assert w.values.dtype == float
         np.testing.assert_array_equal(w.values, expected)
     for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):

@@ -301,7 +301,7 @@ def test_run_report_prices_the_envelope_with_the_step_rule_of_its_solve():
         ),
         (
             lambda: parabolic.make_example("parabolic-ex-1d", 16, 200),
-            lambda prob, p: np.abs(slice_l2_norms(p) - prob.reg_alpha),
+            lambda prob, p: np.abs(slice_l2_norms(prob.grid, p) - prob.reg_alpha),
         ),
     ],
     ids=["elliptic", "parabolic"],

@@ -86,7 +86,7 @@ def test_lmo_slice_cases():
     p = grid.field([loud, 0.5 / math.sqrt(h), 0.1])
     # pin the threshold to the middle slice's computed norm so the tie is
     # exact in floating point
-    tie_norm = float(slice_l2_norms(p)[1])
+    tie_norm = float(slice_l2_norms(grid, p)[1])
     prob = ParabolicProblem(
         grid=grid,
         conductivity=1.0,
@@ -95,7 +95,7 @@ def test_lmo_slice_cases():
         target=grid.zero_field(),
     )
     v = prob.lmo(p)
-    norms = slice_l2_norms(v)
+    norms = slice_l2_norms(grid, v)
     assert norms[0] == pytest.approx(2.0, rel=1e-12)
     assert norms[1] == pytest.approx(2.0, rel=1e-12)  # ties go to the boundary
     assert norms[2] == 0.0
@@ -210,8 +210,8 @@ def test_solution_slice_structure():
     sl_u = prob.grid.as_slices(u.values)
     sl_p = prob.grid.as_slices(p.values)
     w = prob.grid.space.weight
-    u_norms = slice_l2_norms(u)
-    p_norms = slice_l2_norms(p)
+    u_norms = slice_l2_norms(prob.grid, u)
+    p_norms = slice_l2_norms(prob.grid, p)
     alpha, m_ball = prob.reg_alpha, prob.ball_radius
     quiet = p_norms < alpha - 2e-4
     loud = p_norms > alpha + 2e-4
@@ -230,13 +230,15 @@ def test_structure_slice_norms_and_sparsity():
     u = prob.grid.field(np.array([0.0, 0.8, 0.4, 0.8]) * scale)
     _, p = prob.f_and_grad(u)
     np.testing.assert_allclose(prob.grid.times(), [0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(slice_l2_norms(u), [0.0, 0.8, 0.4, 0.8], atol=1e-14)
+    np.testing.assert_allclose(
+        slice_l2_norms(prob.grid, u), [0.0, 0.8, 0.4, 0.8], atol=1e-14
+    )
     rep = prob.structure(u, p)
     keys = ["time_sparsity_fraction", "control_norm_max", "adjoint_norm_max"]
     assert list(rep) == keys
     assert rep["time_sparsity_fraction"] == pytest.approx(0.75)
     assert rep["control_norm_max"] == pytest.approx(0.8)
-    assert rep["adjoint_norm_max"] == float(np.max(slice_l2_norms(p)))
+    assert rep["adjoint_norm_max"] == float(np.max(slice_l2_norms(prob.grid, p)))
 
 
 def test_growth_measure_time_band():
@@ -286,7 +288,7 @@ def test_sample_feasible_stays_in_ball():
     rng = np.random.default_rng(79)
     for trial in range(10):
         u = sample_feasible(prob, rng)
-        assert np.all(slice_l2_norms(u) <= prob.ball_radius * (1.0 + 1e-12))
+        assert np.all(slice_l2_norms(prob.grid, u) <= prob.ball_radius * (1.0 + 1e-12))
         assert math.isfinite(prob.g_eval(u))
 
 
@@ -312,12 +314,13 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     du = v.values - u.values
     passes = []
 
-    def counted(field):
-        passes.append(field)
-        return slice_sq_norms(field)
+    def counted(grid, values):
+        passes.append(values)
+        return slice_sq_norms(grid, values)
 
     def passes_over(*fields):
-        return len(passes) == len(fields) and all(map(operator.is_, passes, fields))
+        values = [field.values for field in fields]
+        return len(passes) == len(fields) and all(map(operator.is_, passes, values))
 
     monkeypatch.setattr(parabolic, "slice_sq_norms", counted)
     got = (prob.g_eval(u), prob.g_eval(v), prob.dual_norm(u), prob.dual_norm(v))
@@ -325,7 +328,7 @@ def test_memoised_slice_norms_match_slice_l2_norms(monkeypatch):
     assert passes_over(u, v)
 
     def time_l1(field):
-        return float(grid.tau * slice_l2_norms(field).sum())
+        return float(grid.tau * slice_l2_norms(grid, field).sum())
 
     assert got == (
         prob.reg_alpha * time_l1(u),
@@ -362,18 +365,18 @@ def test_report_reads_slice_norms_from_the_memo(monkeypatch):
     _, p = prob.f_and_grad(u)
     passes = []
 
-    def counted(field):
-        passes.append(field)
-        return slice_sq_norms(field)
+    def counted(grid, values):
+        passes.append(values)
+        return slice_sq_norms(grid, values)
 
     monkeypatch.setattr(parabolic, "slice_sq_norms", counted)
     epsilons = [2.0**-k for k in range(1, 19)]
     distance = prob.growth_distance(p)
     rep = prob.structure(u, p)
     measures = growth_measures(distance, prob.growth_quantum, epsilons)
-    assert len(passes) == 2 and passes[0] is p and passes[1] is u
+    assert len(passes) == 2 and passes[0] is p.values and passes[1] is u.values
 
-    p_norms, u_norms = slice_l2_norms(p), slice_l2_norms(u)
+    p_norms, u_norms = slice_l2_norms(prob.grid, p), slice_l2_norms(prob.grid, u)
     band = np.abs(p_norms - prob.reg_alpha)
     assert measures == [
         float(prob.grid.tau * np.count_nonzero(band <= eps)) for eps in epsilons

@@ -50,13 +50,13 @@ def l2_norm(u):
     return math.sqrt(pairing(u, u))
 
 
-def time_l1(u):
+def time_l1(grid, u):
     """Time integral of the slice l2 norms, tau * sum_m |u(t_m)|_2."""
-    return float(u.meta.tau * slice_l2_norms(u).sum())
+    return float(grid.tau * slice_l2_norms(grid, u).sum())
 
 
 def solve_poisson(op: DiscreteOperator, rhs: ControlField) -> ControlField:
-    """Solve op @ y = rhs nodewise; the weight and grid tag carry over."""
+    """Solve op @ y = rhs nodewise; the weight carries over."""
     if rhs.size != op.size:
         raise ValueError("rhs length does not match the operator")
     return rhs.with_values(op.solve(rhs.values))
@@ -143,7 +143,7 @@ def test_poisson_quadratic_exact():
     rhs = grid.field(np.ones(3))
     y = solve_poisson(assemble_laplacian(grid), rhs)
     np.testing.assert_allclose(y.values, [0.09375, 0.125, 0.09375], atol=1e-14)
-    assert y.meta is grid
+    assert y.weight == grid.weight
 
 
 def test_poisson_rejects_length_mismatch():
@@ -415,7 +415,7 @@ def test_heat_stability_bound():
     for trial in range(20):
         u = grid.field(rng.standard_normal(grid.n_nodes))
         y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
-        assert l2_norm(y) <= c * time_l1(u) * (1.0 + 1e-12)
+        assert l2_norm(y) <= c * time_l1(grid, u) * (1.0 + 1e-12)
 
 
 def test_heat_c_constant_attained_by_slow_mode():
@@ -430,7 +430,7 @@ def test_heat_c_constant_attained_by_slow_mode():
     values[0] = mode
     u = grid.field(values.ravel())
     y = grid.field(HeatOperator(grid, a).forward(grid.as_slices(u.values)))
-    ratio = l2_norm(y) / time_l1(u)
+    ratio = l2_norm(y) / time_l1(grid, u)
     assert ratio == pytest.approx(heat_c_constant(grid, a), rel=1e-12)
 
 
@@ -449,15 +449,9 @@ def test_norm_hand_values():
     grid = SpaceTimeGrid(Grid(1, 1), nt=2, horizon=1.0)
     w = grid.field([3.0, -4.0])
     np.testing.assert_allclose(
-        slice_l2_norms(w), [3.0 / math.sqrt(2.0), 4.0 / math.sqrt(2.0)]
+        slice_l2_norms(grid, w), [3.0 / math.sqrt(2.0), 4.0 / math.sqrt(2.0)]
     )
-    assert time_l1(w) == pytest.approx(7.0 / (2.0 * math.sqrt(2.0)))
-
-
-def test_slice_norms_need_space_time_grid():
-    u = Grid(3, 1).field([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        slice_l2_norms(u)
+    assert time_l1(grid, w) == pytest.approx(7.0 / (2.0 * math.sqrt(2.0)))
 
 
 def test_estimate_c_constant_single_node():
@@ -515,14 +509,13 @@ def test_field_round_trip(tmp_path):
     for i, grid in enumerate(grids):
         u = grid.field(rng.standard_normal(grid.n_nodes))
         path = tmp_path / f"field_{i}.txt"
-        write_field(path, u)
+        write_field(path, grid, u)
         back = read_field(path)
         np.testing.assert_array_equal(back.values, u.values)
         assert back.weight == u.weight
-        assert back.meta == grid
-    st = read_field(tmp_path / "field_2.txt").meta
-    assert st.nt == 4
-    assert st.tau == pytest.approx(0.5)
+        assert back.size == grid.n_nodes
+    # tau = 2.0 / 4 and h = 1 / 4 on the space-time grid
+    assert read_field(tmp_path / "field_2.txt").weight == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("size", [40, _DUMP_CHUNK, _DUMP_CHUNK + 5])
@@ -553,7 +546,7 @@ def test_field_dump_matches_per_value_format(tmp_path, size):
     grid = Grid(size, 1)
     for name, case in cases.items():
         path = tmp_path / "field.txt"
-        write_field(path, grid.field(case))
+        write_field(path, grid, grid.field(case))
         want = field_header(grid) + "\n" + "".join(f"{x:.17g}\n" for x in case)
         assert path.read_bytes() == want.encode(), name
         back = read_field(path).values
@@ -580,7 +573,7 @@ def test_field_dump_matches_per_value_format_on_a_million_values(tmp_path):
     assert values.size >= 1_000_000
     grid = Grid(values.size, 1)
     path = tmp_path / "field.txt"
-    write_field(path, grid.field(values))
+    write_field(path, grid, grid.field(values))
     want = (field_header(grid) + "\n").encode() + per_value_dump(values)
     assert path.read_bytes() == want
 
@@ -664,7 +657,7 @@ def test_field_dump_of_an_all_zero_chunk(tmp_path):
     values[2 * _DUMP_CHUNK :] = [0.0, -0.0, 0.25, 1e-300, -3.0]
     grid = Grid(size, 1)
     path = tmp_path / "field.txt"
-    write_field(path, grid.field(values))
+    write_field(path, grid, grid.field(values))
     want = (field_header(grid) + "\n").encode() + per_value_dump(values)
     assert path.read_bytes() == want
     back = read_field(path).values
@@ -682,7 +675,7 @@ def test_field_dump_zeros_and_fallback_rows_at_chunk_edges(tmp_path):
     grid = Grid(size, 1)
     path = tmp_path / "field.txt"
     for case in (values, -values, np.where(values == 0.25, 0.0, values)):
-        write_field(path, grid.field(case))
+        write_field(path, grid, grid.field(case))
         want = (field_header(grid) + "\n").encode() + per_value_dump(case)
         assert path.read_bytes() == want
     assert _format_values(np.array([0.0, -0.0])) == "0\n-0\n"
@@ -716,17 +709,7 @@ def test_field_io_rejects_bad_headers(tmp_path):
     path.write_text("2 1 0.3333333333333333\n0\n")  # value count mismatch
     with pytest.raises(ValueError):
         read_field(path)
-    with pytest.raises(ValueError):
-        write_field(path, ControlFieldNoMeta())
     # the header "1 1 h" of Grid(1, 2) would read back as Grid(1, 1)
     for grid in (Grid(1, 2), SpaceTimeGrid(Grid(1, 2), nt=3, horizon=1.0)):
         with pytest.raises(ValueError):
-            write_field(path, grid.zero_field())
-
-
-class ControlFieldNoMeta:
-    """Minimal stand-in with no grid descriptor."""
-
-    values = np.zeros(1)
-    weight = 1.0
-    meta = None
+            write_field(path, grid, grid.zero_field())

@@ -142,7 +142,7 @@ def test_parabolic_slice_norms_and_g_along(heat_segment):
     d_sl = grid.as_slices(v.values - u.values)
     quad = nonlocals(nonlocals(nonlocals(phi)["g_along"])["norms_along"])
     for x, y, new in (
-        (u_sl, u_sl, slice_sq_norms(u)),
+        (u_sl, u_sl, slice_sq_norms(grid, u.values)),
         (u_sl, u_sl, quad["a0"]),
         (u_sl, d_sl, quad["a1"]),
         (d_sl, d_sl, quad["a2"]),
