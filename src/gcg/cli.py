@@ -1,14 +1,15 @@
 """Command-line experiment runner.
 
 Two subcommands: ``run`` solves a registered problem instance and writes
-the iteration history (CSV), the final control (text field dump), and a
-diagnostics report; ``list`` prints the problem registry, which maps each
-name to its instance module; ``run`` passes the sizes that module states
-(SIZES), so ``--nt`` is unused on an elliptic problem.  All output is
-deterministic at a fixed BLAS thread count: rerunning the same
-configuration reproduces byte-identical files.  The sine-basis products
-sum in a thread-dependent order, so pin the count, for example with
-OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte for byte.
+the iteration history (CSV), the final control (text field dump), and the
+diagnostics report, which every run writes; ``list`` prints the problem
+registry, which maps each name to its instance module; ``run`` passes the
+sizes that module states (SIZES), so ``--nt`` is unused on an elliptic
+problem.  All output is deterministic at a fixed BLAS thread count:
+rerunning the same configuration reproduces byte-identical files.  The
+sine-basis products sum in a thread-dependent order, so pin the count,
+for example with OPENBLAS_NUM_THREADS=1 as CI does, to compare runs byte
+for byte.
 
 Exit codes: 0 on a completed solve, 1 on usage errors and on running out
 of memory, 2 on numerical failures, 3 on I/O failures.
@@ -56,7 +57,8 @@ class RunConfig:
     with ``tol`` in the file for ``gap_tol``.  A setting that neither file
     nor flag gives takes the default here, SolverConfig's for the solver
     settings and the problem module's for a size; a size the problem does
-    not take stays as given and is unused.
+    not take stays as given and is unused.  No setting skips the
+    diagnostics report; every run writes it.
     """
 
     problem: str
@@ -68,7 +70,6 @@ class RunConfig:
     gamma: float = SolverConfig.gamma
     out_dir: str = "."
     track_errors: bool = False
-    diagnostics: bool = True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
             "solve twice and record each iterate's distance to the final "
             "iterate of the first, identical solve (0 on the last row)"
         ),
-    )
-    run_p.add_argument(
-        "--no-diagnostics",
-        dest="diagnostics",
-        action="store_false",
-        default=None,
-        help="skip the diagnostics report",
     )
 
     sub.add_parser("list", help="list the problem registry")
@@ -255,8 +249,7 @@ def run(config: RunConfig) -> int:
 
             solver_config = replace(solver_config, callback=record_errors)
         result = gcg_solve(composite, u0, solver_config)
-        if config.diagnostics:
-            report = diag.run_report(prob, result)
+        report = diag.run_report(prob, result)
     except (OracleError, ResidualCheckError, ValueError) as exc:
         print(f"gcg: numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -266,9 +259,8 @@ def run(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_history_csv(out_dir / "history.csv", result.history, errors)
         write_field(out_dir / "control.txt", prob.grid, result.final_iterate)
-        if config.diagnostics:
-            text = "".join(f"{k} = {_report_text(v)}\n" for k, v in report.items())
-            (out_dir / "diagnostics.txt").write_text(text, newline="\n")
+        text = "".join(f"{k} = {_report_text(v)}\n" for k, v in report.items())
+        (out_dir / "diagnostics.txt").write_text(text, newline="\n")
     except OSError as exc:
         print(f"gcg: i/o failure: {exc}", file=sys.stderr)
         return 3

@@ -31,21 +31,19 @@ def _require_positive(**kwargs: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def envelope_q(r0: float, alpha: float, gamma: float, L: float, mstar: float) -> float:
+def envelope_q(r0: float, config, L: float, mstar: float) -> float:
     """Decay constant of the sublinear envelope r0 / (1 + q k).
 
     q = alpha * min{ (1-alpha) * gamma * r0 / (2 L mstar^2), 1 }.
 
-    ``r0`` is the initial objective residual, ``L`` the curvature bound of
-    the smooth part along the iterate segments, and ``mstar`` a bound on
-    the dual norms of all iterates and oracle directions.  The min clamps
-    at 1, so q <= alpha <= 1/2 always.
+    ``r0`` is the initial objective residual, ``config`` the SolverConfig
+    the solve ran with, which checked its alpha and gamma when it was made,
+    ``L`` the curvature bound of the smooth part along the iterate
+    segments, and ``mstar`` a bound on the dual norms of all iterates and
+    oracle directions.  The min clamps at 1, so q <= alpha <= 1/2 always.
     """
-    _require_positive(r0=r0, alpha=alpha, gamma=gamma, L=L, mstar=mstar)
-    if alpha > 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-    if gamma >= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
+    _require_positive(r0=r0, L=L, mstar=mstar)
+    alpha, gamma = config.alpha, config.gamma
     return float(alpha * min((1.0 - alpha) * gamma * r0 / (2.0 * L * mstar * mstar), 1.0))
 
 
@@ -187,9 +185,10 @@ def fit_kappa(epsilons, measures) -> float | None:
 def run_report(prob, result) -> dict[str, object]:
     """Every check of one finished solve, as the ordered entries of diagnostics.txt.
 
-    ``result`` is the SolveResult of ``prob``; the envelope reads alpha and
-    gamma from the config it ran with.  A check that cannot be made reads
-    ``"n/a (reason)"`` and drops the entries that follow from it.
+    ``result`` is the SolveResult of ``prob``; envelope_q prices the
+    envelope with ``result.config``, the step rule the solve ran with.  A
+    check that cannot be made reads ``"n/a (reason)"`` and drops the
+    entries that follow from it.
     ``envelope_violation`` is None when the envelope holds, and ``kappa_hat``
     reads ``"vacuous"`` only when every sampled level-set measure is zero.
     """
@@ -207,8 +206,7 @@ def run_report(prob, result) -> dict[str, object]:
     residuals = residuals_from_history(history, history[-1].j_value)
     r0 = float(residuals[0])
     if r0 > 0.0:
-        alpha, gamma = result.config.alpha, result.config.gamma
-        q_env = envelope_q(r0, alpha, gamma, prob.lipschitz_estimate, result.mstar)
+        q_env = envelope_q(r0, result.config, prob.lipschitz_estimate, result.mstar)
         if q_env > 0.0:
             ok, violation = check_envelope(residuals, q_env, result.eps_fp)
             report.update(q_env=q_env, envelope_ok=ok, envelope_violation=violation)

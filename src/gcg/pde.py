@@ -535,6 +535,9 @@ def _format_values(values: np.ndarray) -> str:
 def write_field(path, grid, u: ControlField) -> None:
     """Write u as a text dump: field_header(grid), then one value per line.
 
+    A u with other than grid.n_nodes values is refused with ValueError
+    before the file is opened.
+
     Values are printed row-major with 17 significant digits, enough to
     round-trip float64 exactly: the bytes of "%.17g\n" % x for each value x,
     formatted in chunks of _DUMP_CHUNK values by _format_values.
@@ -553,6 +556,10 @@ def write_field(path, grid, u: ControlField) -> None:
     """
     header = field_header(grid)
     values = u.values
+    if values.size != grid.n_nodes:
+        raise ValueError(
+            f"a field of {values.size} values on a grid of {grid.n_nodes} nodes"
+        )
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, values.size, _DUMP_CHUNK):

@@ -202,12 +202,21 @@ def test_track_errors_populates_columns(tmp_path, capsys):
     assert rows[-1][5] == "0.0" and errs[-1] == 0.0
 
 
-def test_no_diagnostics_flag(tmp_path, capsys):
-    code = run_cli(FAST + ["--no-diagnostics", "--out-dir", tmp_path])
-    capsys.readouterr()
-    assert code == 0
-    assert not (tmp_path / "diagnostics.txt").exists()
-    assert (tmp_path / "history.csv").is_file()
+def test_no_option_skips_the_diagnostics_report(tmp_path, capsys):
+    # every run writes diagnostics.txt: the retired flag and settings key
+    # are refused as any unknown flag or key is, and nothing is written
+    with pytest.raises(SystemExit) as exc:
+        run_cli(FAST + ["--no-diagnostics", "--out-dir", tmp_path])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("gcg: error: unrecognized arguments: --no-diagnostics\n")
+    cfg = tmp_path / "skip.cfg"
+    cfg.write_text("diagnostics = no\n")
+    assert run_cli(FAST + ["--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == (
+        f"gcg: error: {cfg}:1: unknown setting 'diagnostics'\n"
+    )
+    assert not (tmp_path / "history.csv").exists()
 
 
 def test_unknown_problem_is_usage_error(capsys):
@@ -484,7 +493,6 @@ def test_defaults_resolve_per_problem():
         gamma=0.99,
         out_dir=".",
         track_errors=False,
-        diagnostics=True,
     )
     config = resolve_config(parser.parse_args(["run", "--problem", "parabolic-ex"]))
     assert config.n == 32 and config.nt == 100
@@ -588,9 +596,9 @@ def test_config_file_with_a_byte_order_mark(tmp_path):
 
 def test_load_config_file_types(tmp_path):
     cfg = tmp_path / "typed.cfg"
-    cfg.write_text("alpha = 0.25\ndiagnostics = false\nout_dir = results\n")
+    cfg.write_text("alpha = 0.25\ntrack_errors = false\nout_dir = results\n")
     settings = load_config_file(cfg)
-    assert settings == {"alpha": 0.25, "diagnostics": False, "out_dir": "results"}
+    assert settings == {"alpha": 0.25, "track_errors": False, "out_dir": "results"}
 
 
 def test_module_entry_point(tmp_path):

@@ -427,6 +427,16 @@ def test_armijo_matches_scan_on_edge_cases():
     # u == v: no decrease at any step, so the target underflows and both raise
     same = segment_phi(scalar_problem(0.0), field(0.5), field(0.5))
     assert assert_matches_scan(same, same(0.0), 1.0, halving) is LineSearchError
+    # gap = 5e-324 with alpha = 0.5: the target alpha * gap is 0.0 already at
+    # n = 0, so the search raises there, as the scan does, without a probe.
+    # j(u) is a Python float, as the bundled instances give it
+    tiny, j_u = math.ulp(0.0), float(full(0.0))
+    assert 0.5 * tiny == 0.0
+    probes = []
+    with pytest.raises(LineSearchError) as raised:
+        armijo_step(counting(full, probes), j_u, tiny, halving)
+    assert raised.value.exponent == 0 and probes == []
+    assert assert_matches_scan(full, j_u, tiny, halving) is LineSearchError
 
 
 @st.composite

@@ -32,29 +32,33 @@ from helpers import (
 
 def test_envelope_q_hand_value():
     # 0.5 * min(0.5 * 0.5 * 1 / 2, 1) = 0.0625
-    assert envelope_q(1.0, 0.5, 0.5, 1.0, 1.0) == pytest.approx(0.0625)
+    halving = SolverConfig(alpha=0.5, gamma=0.5)
+    assert envelope_q(1.0, halving, 1.0, 1.0) == pytest.approx(0.0625)
 
 
 def test_envelope_q_clamps_at_alpha():
-    assert envelope_q(1e6, 0.5, 0.5, 1.0, 1.0) == 0.5
-    assert envelope_q(1e6, 0.3, 0.9, 1.0, 1.0) == pytest.approx(0.3)
+    assert envelope_q(1e6, SolverConfig(alpha=0.5, gamma=0.5), 1.0, 1.0) == 0.5
+    assert envelope_q(1e6, SolverConfig(alpha=0.3, gamma=0.9), 1.0, 1.0) == (
+        pytest.approx(0.3)
+    )
 
 
 def test_envelope_q_linear_in_r0_below_clamp():
-    q1 = envelope_q(0.01, 0.5, 0.5, 1.0, 1.0)
-    q2 = envelope_q(0.02, 0.5, 0.5, 1.0, 1.0)
+    halving = SolverConfig(alpha=0.5, gamma=0.5)
+    q1 = envelope_q(0.01, halving, 1.0, 1.0)
+    q2 = envelope_q(0.02, halving, 1.0, 1.0)
     assert q2 == pytest.approx(2.0 * q1, rel=1e-14)
 
 
 def test_envelope_q_validation():
+    # alpha and gamma are SolverConfig's to check; r0, L and mstar are checked here
+    halving = SolverConfig(alpha=0.5, gamma=0.5)
     with pytest.raises(ValueError):
-        envelope_q(1.0, 0.6, 0.5, 1.0, 1.0)
+        envelope_q(-1.0, halving, 1.0, 1.0)
     with pytest.raises(ValueError):
-        envelope_q(1.0, 0.5, 1.0, 1.0, 1.0)
+        envelope_q(1.0, halving, 0.0, 1.0)
     with pytest.raises(ValueError):
-        envelope_q(-1.0, 0.5, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        envelope_q(1.0, 0.5, 0.5, 0.0, 1.0)
+        envelope_q(1.0, halving, 1.0, math.inf)
 
 
 def test_check_envelope_accepts_exact_curve():
@@ -287,9 +291,9 @@ def test_run_report_prices_the_envelope_with_the_step_rule_of_its_solve():
     r0 = result.history[0].j_value - result.history[-1].j_value
     L_est, mstar = prob.lipschitz_estimate, result.mstar
     q_env = run_report(prob, result)["q_env"]
-    assert q_env == envelope_q(r0, 0.3, 0.9, L_est, mstar)
+    assert q_env == envelope_q(r0, SolverConfig(alpha=0.3, gamma=0.9), L_est, mstar)
     default = run_report(prob, dataclasses.replace(result, config=SolverConfig()))
-    assert default["q_env"] == envelope_q(r0, 0.5, 0.99, L_est, mstar) != q_env
+    assert default["q_env"] == envelope_q(r0, SolverConfig(), L_est, mstar) != q_env
 
 
 @pytest.mark.parametrize(

@@ -682,6 +682,20 @@ def test_field_dump_zeros_and_fallback_rows_at_chunk_edges(tmp_path):
     assert _format_values(np.zeros(0)) == ""
 
 
+def test_write_field_refuses_a_field_of_another_grid(tmp_path):
+    # a header of 4 nodes over 3 values would be a dump read_field refuses;
+    # the refusal comes before the file is opened
+    path = tmp_path / "field.txt"
+    short = Grid(3, 1).zero_field()
+    with pytest.raises(ValueError, match=r"\b3 values\b.*\b4 nodes\b"):
+        write_field(path, Grid(4, 1), short)
+    assert not path.exists()
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError):
+        write_field(path, Grid(4, 1), short)
+    assert path.read_bytes() == b"kept\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
